@@ -32,8 +32,11 @@ def run_experiment_benchmark(benchmark, runner: Callable[[], ExperimentResult]
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Dump the measured guard numbers to the committed BENCH_<pr>.json
-    (see record.py; empty sessions write nothing)."""
+    """Dump the measured guard numbers to the committed BENCH_<pr>.json when
+    ``REPRO_BENCH_RECORD=1`` (see record.py; empty sessions write nothing).
+    Off by default, so a test run leaves the tree as it found it."""
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     from record import write_benchmark_record
 
     path = write_benchmark_record(session)

@@ -3,10 +3,11 @@
 The acceptance guards in this directory (engine speedups, round-budget
 ceilings, million-player wall-clock budgets) assert against thresholds, but
 the *measured* numbers themselves are worth keeping: they are the
-performance record of each PR.  The ``pytest_sessionfinish`` hook in
-``conftest.py`` calls :func:`write_benchmark_record` after every benchmark
-session, dumping one JSON document per PR — ``BENCH_10.json`` for this one —
-at the repository root, which is committed alongside the code.
+performance record of each PR.  With ``REPRO_BENCH_RECORD=1`` in the
+environment, the ``pytest_sessionfinish`` hook in ``conftest.py`` calls
+:func:`write_benchmark_record` after the benchmark session, dumping one JSON
+document per PR — ``BENCH_10.json`` for this one — at the repository root.
+Without it a session writes nothing.
 
 The document carries, per benchmark: the timing statistics
 (mean/min/max/stddev/rounds) and the benchmark's ``extra_info`` (speedup

@@ -1,11 +1,19 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` keeps working on environments whose setuptools/pip
-combination lacks PEP 660 editable-install support (no ``wheel`` package
-available offline).
+``pip install -e .`` (or ``pip install .``) installs the package from
+``src/``; the only runtime dependency is numpy.  networkx and scipy are
+optional (network games, sparse incidence) and numba is optional (the
+native engine's JIT path).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Concurrent imitation dynamics in congestion games",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

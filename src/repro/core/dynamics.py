@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "TrajectoryResult",
     "sample_migration_matrix",
     "sample_migration_matrices",
+    "sample_migration_matrices_from_streams",
     "step",
     "ConcurrentDynamics",
 ]
@@ -110,6 +111,42 @@ class TrajectoryResult:
         return self.stop_reason is not StopReason.MAX_ROUNDS
 
 
+def _migration_rows(counts: np.ndarray, switch_matrices: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multinomial rows of one round: ``(rows_r, rows_p, probabilities)``
+    for every occupied (replica, origin) row with positive leave
+    probability, replica-major and origin-minor, each row
+    ``(switch_matrices[r, P, :], stay)`` normalised on its own."""
+    num_strategies = counts.shape[1]
+    leave = switch_matrices.sum(axis=2)  # (R, S) total leave probability
+    rows_r, rows_p = np.nonzero((counts > 0) & (leave > 0.0))
+    probabilities = np.empty((rows_r.size, num_strategies + 1))
+    probabilities[:, :num_strategies] = switch_matrices[rows_r, rows_p]
+    probabilities[:, num_strategies] = np.maximum(0.0, 1.0 - leave[rows_r, rows_p])
+    # Guard against tiny negative values / rounding drift.
+    np.clip(probabilities, 0.0, None, out=probabilities)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    return rows_r, rows_p, probabilities
+
+
+def _scatter_draws(shape: tuple[int, int], rows_r: np.ndarray, rows_p: np.ndarray,
+                   draws: np.ndarray) -> np.ndarray:
+    """Migration matrices ``(R, S, S)`` from the multinomial draws of
+    :func:`_migration_rows`' rows."""
+    replicas, num_strategies = shape
+    migration = np.zeros((replicas, num_strategies, num_strategies), dtype=np.int64)
+    draws[np.arange(rows_r.size), rows_p] = 0  # a player "moving" P -> P stays
+    migration[rows_r, rows_p, :] = draws[:, :num_strategies]
+    return migration
+
+
+def _as_batch(counts: np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2:
+        raise ValueError("batched sampling expects an (R, S) counts matrix")
+    return counts
+
+
 def sample_migration_matrices(
     counts: np.ndarray,
     switch_matrices: np.ndarray,
@@ -130,28 +167,37 @@ def sample_migration_matrices(
     invariant behind the loop/ensemble ``R = 1`` equivalence.
     """
     gen = ensure_rng(rng)
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError("batched sampling expects an (R, S) counts matrix")
-    replicas, num_strategies = counts.shape
-    migration = np.zeros((replicas, num_strategies, num_strategies), dtype=np.int64)
-
-    leave = switch_matrices.sum(axis=2)  # (R, S) total leave probability
-    rows_r, rows_p = np.nonzero((counts > 0) & (leave > 0.0))
+    counts = _as_batch(counts)
+    rows_r, rows_p, probabilities = _migration_rows(counts, switch_matrices)
     if rows_r.size == 0:
-        return migration
-
-    probabilities = np.empty((rows_r.size, num_strategies + 1))
-    probabilities[:, :num_strategies] = switch_matrices[rows_r, rows_p]
-    probabilities[:, num_strategies] = np.maximum(0.0, 1.0 - leave[rows_r, rows_p])
-    # Guard against tiny negative values / rounding drift.
-    np.clip(probabilities, 0.0, None, out=probabilities)
-    probabilities /= probabilities.sum(axis=1, keepdims=True)
-
+        return np.zeros((*counts.shape, counts.shape[1]), dtype=np.int64)
     draws = gen.multinomial(counts[rows_r, rows_p], probabilities)
-    draws[np.arange(rows_r.size), rows_p] = 0  # a player "moving" P -> P stays
-    migration[rows_r, rows_p, :] = draws[:, :num_strategies]
-    return migration
+    return _scatter_draws(counts.shape, rows_r, rows_p, draws)
+
+
+def sample_migration_matrices_from_streams(
+    counts: np.ndarray,
+    switch_matrices: np.ndarray,
+    streams: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """:func:`sample_migration_matrices` where replica ``r`` draws its rows
+    from its own generator ``streams[r]``.
+
+    Replica ``r``'s matrix is bit-identical to
+    ``sample_migration_matrix(counts[r], switch_matrices[r], streams[r])``
+    (same rows, same order, same stream); only the row preparation is
+    shared across the batch.
+    """
+    counts = _as_batch(counts)
+    rows_r, rows_p, probabilities = _migration_rows(counts, switch_matrices)
+    totals = counts[rows_r, rows_p]
+    bounds = np.searchsorted(rows_r, np.arange(counts.shape[0] + 1))
+    draws = np.empty((rows_r.size, counts.shape[1] + 1), dtype=np.int64)
+    for replica, stream in enumerate(streams):
+        lo, hi = bounds[replica], bounds[replica + 1]
+        if hi > lo:
+            draws[lo:hi] = stream.multinomial(totals[lo:hi], probabilities[lo:hi])
+    return _scatter_draws(counts.shape, rows_r, rows_p, draws)
 
 
 def sample_migration_matrix(

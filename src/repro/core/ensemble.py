@@ -44,6 +44,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, MetricError
 from ..games.base import CongestionGame
+from ..games.evaluation import BatchEvaluation
 from ..games.state import BatchGameState, BatchStateLike, GameState
 from ..rng import RngLike, ensure_rng
 from .dynamics import (
@@ -51,14 +52,26 @@ from .dynamics import (
     StopReason,
     TrajectoryResult,
     sample_migration_matrices,
-    sample_migration_matrix,
+    sample_migration_matrices_from_streams,
 )
 from .protocols import Protocol, quiescent_mask
 
 #: A batched stopping condition receives ``(game, counts_rs, round_index)``
 #: for the *active* replicas and returns a boolean mask of shape ``(R,)``
-#: marking the replicas that should stop before executing that round.
+#: marking the replicas that should stop before executing that round.  A
+#: condition tagged ``reads_evaluation = True`` (the built-in ones) receives
+#: the round's :class:`~repro.games.evaluation.BatchEvaluation` instead of
+#: the counts, so it shares the latencies the protocol reads next.
 BatchStopCondition = Callable[[CongestionGame, np.ndarray, int], np.ndarray]
+
+
+def _stop_input(stop_condition: BatchStopCondition, evaluation: BatchEvaluation):
+    """The round's evaluation for a stop tagged ``reads_evaluation``, its
+    counts for any other."""
+    if getattr(stop_condition, "reads_evaluation", False):
+        return evaluation
+    return evaluation.counts
+
 
 #: An observer receives ``(game, counts_rs, active_indices, round_index)``
 #: after every executed round: ``counts_rs`` is the full ``(R, S)`` matrix and
@@ -265,41 +278,47 @@ def batch_stop_at_approx_equilibrium(delta: float, epsilon: float,
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
 
-    def batched(game: CongestionGame, counts: np.ndarray, round_index: int) -> np.ndarray:
+    def batched(game: CongestionGame, counts, round_index: int) -> np.ndarray:
+        evaluation = game.batch_evaluation(counts)
         bound = game.nu_bound if nu is None else nu
-        latencies = game.strategy_latencies_batch(counts)  # (R, S)
-        average = game.average_latency_batch(counts)  # (R,)
-        average_plus = game.average_latency_after_join_batch(counts)  # (R,)
+        latencies = evaluation.strategy_latencies  # (R, S)
+        average = game.average_latency_batch(evaluation)  # (R,)
+        average_plus = game.average_latency_after_join_batch(evaluation)  # (R,)
         expensive = latencies > (1.0 + epsilon) * average_plus[:, np.newaxis] + bound
         cheap = latencies < (1.0 - epsilon) * average[:, np.newaxis] - bound
         deviating = expensive | cheap
-        unsatisfied = np.where(deviating, counts, 0).sum(axis=1) / game.num_players
+        unsatisfied = (np.where(deviating, evaluation.counts, 0).sum(axis=1)
+                       / game.num_players)
         return unsatisfied <= delta
 
     # The native backend fuses this test into its round kernel instead of
     # calling back into Python (see repro.core.native.lower_stop_condition).
     batched.native_spec = ("approx_equilibrium", delta, epsilon, nu)
+    batched.reads_evaluation = True
     return batched
+
+
+def _occupied_off_diagonal(counts: np.ndarray) -> np.ndarray:
+    """``(R, S, S)`` mask of origin/destination pairs ``P != Q`` with ``P``
+    occupied."""
+    return (counts > 0)[:, :, np.newaxis] & ~np.eye(counts.shape[1], dtype=bool)
 
 
 def batch_stop_at_imitation_stable(nu: Optional[float] = None) -> BatchStopCondition:
     """Batched imitation stability: no player of a replica can gain more than
     ``nu`` by copying a currently used strategy."""
 
-    def batched(game: CongestionGame, counts: np.ndarray, round_index: int) -> np.ndarray:
+    def batched(game: CongestionGame, counts, round_index: int) -> np.ndarray:
+        evaluation = game.batch_evaluation(counts)
         bound = game.nu_bound if nu is None else nu
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post  # (R, S, S)
-        occupied = counts > 0
-        mask = occupied[:, :, np.newaxis] & occupied[:, np.newaxis, :]
-        diag = np.arange(counts.shape[1])
-        mask[:, diag, diag] = False
-        best_gain = np.where(mask, gains, -np.inf).max(axis=(1, 2))
+        occupied = evaluation.counts > 0
+        mask = _occupied_off_diagonal(evaluation.counts) & occupied[:, np.newaxis, :]
+        best_gain = np.where(mask, evaluation.gains, -np.inf).max(axis=(1, 2))
         best_gain = np.maximum(np.where(np.isfinite(best_gain), best_gain, 0.0), 0.0)
         return best_gain <= bound
 
     batched.native_spec = ("imitation_stable", nu)
+    batched.reads_evaluation = True
     return batched
 
 
@@ -307,17 +326,14 @@ def batch_stop_at_nash(tolerance: float = 1e-9) -> BatchStopCondition:
     """Batched Nash test: no occupied origin of a replica has a strictly
     improving destination (up to ``tolerance``)."""
 
-    def batched(game: CongestionGame, counts: np.ndarray, round_index: int) -> np.ndarray:
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post  # (R, S, S)
-        diag = np.arange(counts.shape[1])
-        gains[:, diag, diag] = -np.inf
-        occupied = counts > 0
-        best_gain = np.where(occupied[:, :, np.newaxis], gains, -np.inf).max(axis=(1, 2))
+    def batched(game: CongestionGame, counts, round_index: int) -> np.ndarray:
+        evaluation = game.batch_evaluation(counts)
+        mask = _occupied_off_diagonal(evaluation.counts)
+        best_gain = np.where(mask, evaluation.gains, -np.inf).max(axis=(1, 2))
         return ~(best_gain > tolerance)
 
     batched.native_spec = ("nash", tolerance)
+    batched.reads_evaluation = True
     return batched
 
 
@@ -495,24 +511,30 @@ class EnsembleDynamics:
 
         last_recorded = 0
         for round_index in range(max_rounds):
-            if not np.any(active):
+            if not active.any():
                 break
             indices = np.nonzero(active)[0]
+            # One evaluation per round, shared by the stop condition and the
+            # protocol; counts were validated at entry and the engine keeps
+            # them valid, so the round trusts them.
+            evaluation = BatchEvaluation(self.game, counts[indices])
 
             if stop_condition is not None:
-                stopped = np.asarray(stop_condition(self.game, counts[indices], round_index))
-                if np.any(stopped):
+                stopped = np.asarray(stop_condition(
+                    self.game, _stop_input(stop_condition, evaluation), round_index))
+                if stopped.any():
                     for replica in indices[stopped]:
                         reasons[replica] = StopReason.STOP_CONDITION
                     active[indices[stopped]] = False
                     indices = indices[~stopped]
                     if indices.size == 0:
                         continue
+                    evaluation = evaluation.select(~stopped)
 
-            matrices = self.protocol.switch_probabilities_batch(self.game, counts[indices])
+            matrices = self.protocol.switch_probabilities_batch(self.game, evaluation)
             if stop_when_quiescent:
                 quiet = quiescent_mask(matrices, counts[indices])
-                if np.any(quiet):
+                if quiet.any():
                     for replica in indices[quiet]:
                         reasons[replica] = StopReason.QUIESCENT
                     active[indices[quiet]] = False
@@ -524,11 +546,8 @@ class EnsembleDynamics:
             if rng_streams is None:
                 migration = sample_migration_matrices(counts[indices], matrices, self.rng)
             else:
-                migration = np.stack([
-                    sample_migration_matrix(counts[replica], matrices[position],
-                                            rng_streams[replica])
-                    for position, replica in enumerate(indices)
-                ])
+                migration = sample_migration_matrices_from_streams(
+                    counts[indices], matrices, [rng_streams[r] for r in indices])
             delta = migration.sum(axis=1) - migration.sum(axis=2)
             counts[indices] += delta
             rounds[indices] = round_index + 1
@@ -550,7 +569,9 @@ class EnsembleDynamics:
             # condition one final look (mirrors the loop engine).
             indices = np.nonzero(active)[0]
             if indices.size and stop_condition is not None:
-                stopped = np.asarray(stop_condition(self.game, counts[indices], max_rounds))
+                evaluation = BatchEvaluation(self.game, counts[indices])
+                stopped = np.asarray(stop_condition(
+                    self.game, _stop_input(stop_condition, evaluation), max_rounds))
                 for replica in indices[stopped]:
                     reasons[replica] = StopReason.STOP_CONDITION
                 indices = indices[~stopped]

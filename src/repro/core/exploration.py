@@ -33,8 +33,7 @@ from .protocols import (
     KernelComponents,
     Protocol,
     SwitchProbabilities,
-    relative_gain_matrix,
-    relative_gain_matrix_batch,
+    gain_matrices,
     zero_diagonal,
 )
 
@@ -91,49 +90,32 @@ class ExplorationProtocol(Protocol):
             return self.lambda_
         return self.lambda_ * game.num_strategies * lmin / (beta * game.num_players)
 
+    def _damped(self, game: CongestionGame, gains: np.ndarray,
+                relative: np.ndarray) -> np.ndarray:
+        """``mu_PQ`` from gain matrices of shape ``(..., S, S)``, zero on
+        the diagonal."""
+        mu = zero_diagonal(np.where(gains > self.min_gain,
+                                    self.damping_factor(game) * relative, 0.0))
+        return np.clip(mu, 0.0, 1.0)
+
     def migration_probabilities(self, game: CongestionGame, state: StateLike) -> np.ndarray:
         """The matrix ``mu_PQ`` (conditional on sampling strategy ``Q``)."""
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        relative = relative_gain_matrix(latencies, post)
-        eligible = gains > self.min_gain
-        mu = np.where(eligible, self.damping_factor(game) * relative, 0.0)
-        np.fill_diagonal(mu, 0.0)
-        return np.clip(mu, 0.0, 1.0)
+        return self._damped(game, *gain_matrices(game, game.validate_state(state)))
 
     def switch_probabilities(self, game: CongestionGame, state: StateLike
                              ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        matrix = mu / game.num_strategies  # uniform strategy sampling
-        np.fill_diagonal(matrix, 0.0)
+        gains, relative = gain_matrices(game, game.validate_state(state))
+        matrix = self._damped(game, gains, relative) / game.num_strategies  # uniform sampling
         return SwitchProbabilities(matrix=matrix, gains=gains)
 
     # ------------------------------------------------------------------
     # Batched evaluation (ensemble engine)
     # ------------------------------------------------------------------
-    def migration_probabilities_batch(self, game: CongestionGame,
-                                      batch: BatchStateLike) -> np.ndarray:
-        """Batched ``mu_PQ`` matrices, shape ``(R, S, S)``."""
-        counts = game.validate_batch_state(batch)
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post
-        relative = relative_gain_matrix_batch(latencies, post)
-        mu = np.where(gains > self.min_gain, self.damping_factor(game) * relative, 0.0)
-        zero_diagonal(mu)
-        return np.clip(mu, 0.0, 1.0)
-
     def switch_probabilities_batch(self, game: CongestionGame,
                                    batch: BatchStateLike) -> np.ndarray:
-        counts = game.validate_batch_state(batch)
-        matrices = self.migration_probabilities_batch(game, counts) / game.num_strategies
-        return zero_diagonal(matrices)
+        evaluation = game.batch_evaluation(batch)
+        mu = self._damped(game, evaluation.gains, evaluation.relative_gains)
+        return mu / game.num_strategies  # mu's zero diagonal stays zero
 
     def kernel_components(self, game: CongestionGame) -> KernelComponents:
         """One uniform-strategy-sampling component with the exploration

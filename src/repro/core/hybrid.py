@@ -76,14 +76,14 @@ class MixtureProtocol(Protocol):
                                    batch: BatchStateLike) -> np.ndarray:
         """The mixture of batched switch matrices is the weighted sum of the
         components' batched matrices (same argument as the scalar case)."""
-        counts = game.validate_batch_state(batch)
+        evaluation = game.batch_evaluation(batch)
         matrices = np.zeros(
-            (counts.shape[0], game.num_strategies, game.num_strategies)
+            (evaluation.num_replicas, game.num_strategies, game.num_strategies)
         )
         for weight, component in zip(self.weights, self.components):
             if weight == 0.0:
                 continue
-            matrices += weight * component.switch_probabilities_batch(game, counts)
+            matrices += weight * component.switch_probabilities_batch(game, evaluation)
         return matrices
 
     def kernel_components(self, game: CongestionGame):

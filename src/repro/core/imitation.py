@@ -34,8 +34,7 @@ from .protocols import (
     KernelComponents,
     Protocol,
     SwitchProbabilities,
-    relative_gain_matrix,
-    relative_gain_matrix_batch,
+    gain_matrices,
     zero_diagonal,
 )
 
@@ -106,63 +105,45 @@ class ImitationProtocol(Protocol):
             return max(1.0, self.elasticity_override)
         return game.elasticity_bound
 
+    def _damped(self, game: CongestionGame, gains: np.ndarray,
+                relative: np.ndarray) -> np.ndarray:
+        """``mu_PQ`` from gain matrices of shape ``(..., S, S)``: the damped
+        relative gain where the gain beats ``nu``, zero elsewhere and on the
+        diagonal."""
+        nu = self.effective_nu(game)
+        d = self.effective_elasticity(game)
+        mu = zero_diagonal(np.where(gains > nu, (self.lambda_ / d) * relative, 0.0))
+        return np.clip(mu, 0.0, 1.0)
+
+    def sampling_distribution(self, game: CongestionGame,
+                              counts: np.ndarray) -> np.ndarray:
+        """Probability of sampling each strategy, shape ``(S,)`` for one
+        state or ``(R, S)`` for a batch."""
+        return counts.astype(float) / game.num_players
+
     def migration_probabilities(self, game: CongestionGame, state: StateLike
                                 ) -> np.ndarray:
         """The matrix ``mu_PQ`` (conditional on sampling ``Q``), zero where
         the gain threshold is not met."""
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        relative = relative_gain_matrix(latencies, post)
-        nu = self.effective_nu(game)
-        d = self.effective_elasticity(game)
-        eligible = gains > nu
-        mu = np.where(eligible, (self.lambda_ / d) * relative, 0.0)
-        np.fill_diagonal(mu, 0.0)
-        return np.clip(mu, 0.0, 1.0)
+        return self._damped(game, *gain_matrices(game, game.validate_state(state)))
 
     def switch_probabilities(self, game: CongestionGame, state: StateLike
                              ) -> SwitchProbabilities:
         counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        sampling = counts.astype(float) / game.num_players  # P[sample strategy Q]
-        matrix = mu * sampling[np.newaxis, :]
-        np.fill_diagonal(matrix, 0.0)
+        gains, relative = gain_matrices(game, counts)
+        sampling = self.sampling_distribution(game, counts)
+        matrix = self._damped(game, gains, relative) * sampling[np.newaxis, :]
         return SwitchProbabilities(matrix=matrix, gains=gains)
 
     # ------------------------------------------------------------------
     # Batched evaluation (ensemble engine)
     # ------------------------------------------------------------------
-    def migration_probabilities_batch(self, game: CongestionGame,
-                                      batch: BatchStateLike) -> np.ndarray:
-        """Batched ``mu_PQ`` matrices, shape ``(R, S, S)``."""
-        counts = game.validate_batch_state(batch)
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post
-        relative = relative_gain_matrix_batch(latencies, post)
-        nu = self.effective_nu(game)
-        d = self.effective_elasticity(game)
-        mu = np.where(gains > nu, (self.lambda_ / d) * relative, 0.0)
-        zero_diagonal(mu)
-        return np.clip(mu, 0.0, 1.0)
-
-    def sampling_distribution_batch(self, game: CongestionGame,
-                                    counts: np.ndarray) -> np.ndarray:
-        """Per-replica probability of sampling each strategy, shape ``(R, S)``."""
-        return counts.astype(float) / game.num_players
-
     def switch_probabilities_batch(self, game: CongestionGame,
                                    batch: BatchStateLike) -> np.ndarray:
-        counts = game.validate_batch_state(batch)
-        mu = self.migration_probabilities_batch(game, counts)
-        sampling = self.sampling_distribution_batch(game, counts)
-        matrices = mu * sampling[:, np.newaxis, :]
-        return zero_diagonal(matrices)
+        evaluation = game.batch_evaluation(batch)
+        mu = self._damped(game, evaluation.gains, evaluation.relative_gains)
+        sampling = self.sampling_distribution(game, evaluation.counts)
+        return mu * sampling[:, np.newaxis, :]  # mu's zero diagonal stays zero
 
     def kernel_components(self, game: CongestionGame) -> KernelComponents:
         """One player-sampling component with the ``lambda/d`` damping and

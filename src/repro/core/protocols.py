@@ -33,10 +33,11 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..games.base import CongestionGame
+from ..games.evaluation import relative_gains
 from ..games.state import BatchStateLike, StateLike
 
 __all__ = ["KernelComponents", "Protocol", "SwitchProbabilities",
-           "quiescent_mask"]
+           "gain_matrices", "quiescent_mask"]
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,12 @@ class Protocol(ABC):
         by calling the scalar method row by row; protocols with vectorised
         formulas override it for speed (one broadcasted evaluation instead of
         ``R`` Python calls).
+
+        ``batch`` is an ``(R, S)`` batch of states or the round's
+        :class:`~repro.games.evaluation.BatchEvaluation` (what the ensemble
+        engine passes); ``game.batch_evaluation(batch)`` accepts both.
         """
-        counts = game.validate_batch_state(batch)
+        counts = game.batch_evaluation(batch).counts
         return np.stack([
             self.switch_probabilities(game, row).matrix for row in counts
         ])
@@ -195,22 +200,21 @@ class Protocol(ABC):
 
 def relative_gain_matrix(latencies: np.ndarray, post_migration: np.ndarray) -> np.ndarray:
     """Relative gains ``(l_P - l_Q(x + 1_Q - 1_P)) / l_P`` with a safe zero
-    where the current latency vanishes."""
-    gains = latencies[:, np.newaxis] - post_migration
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.where(latencies[:, np.newaxis] > 0,
-                            gains / latencies[:, np.newaxis], 0.0)
-    return relative
+    where the current latency vanishes: ``(S,)`` latencies and ``(S, S)``
+    post-migration latencies, or ``(R, S)`` and ``(R, S, S)``."""
+    return relative_gains(latencies,
+                          latencies[..., :, np.newaxis] - post_migration)
 
 
-def relative_gain_matrix_batch(latencies: np.ndarray, post_migration: np.ndarray) -> np.ndarray:
-    """Batched :func:`relative_gain_matrix`: ``(R, S)`` latencies and
-    ``(R, S, S)`` post-migration latencies give ``(R, S, S)`` relative gains."""
-    origin = latencies[:, :, np.newaxis]
-    gains = origin - post_migration
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.where(origin > 0, gains / origin, 0.0)
-    return relative
+def gain_matrices(game: CongestionGame, counts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(gains, relative gains)`` of one validated state, each ``(S, S)``,
+    from one strategy-latency and one post-migration evaluation (the scalar
+    counterpart of the ``gains`` and ``relative_gains`` of a
+    :class:`~repro.games.evaluation.BatchEvaluation`)."""
+    latencies = game.strategy_latencies(counts)
+    gains = latencies[:, np.newaxis] - game.post_migration_latency_matrix(counts)
+    return gains, relative_gains(latencies, gains)
 
 
 def zero_diagonal(matrices: np.ndarray) -> np.ndarray:

@@ -25,9 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..games.base import CongestionGame
-from ..games.state import StateLike
 from .imitation import DEFAULT_LAMBDA, ImitationProtocol
-from .protocols import SwitchProbabilities
 
 __all__ = ["VirtualAgentImitationProtocol"]
 
@@ -67,30 +65,12 @@ class VirtualAgentImitationProtocol(ImitationProtocol):
         self.virtual_agents_per_strategy = int(virtual_agents_per_strategy)
 
     def sampling_distribution(self, game: CongestionGame, counts: np.ndarray) -> np.ndarray:
-        """Probability of sampling each strategy (virtual agents included)."""
+        """Probability of sampling each strategy (virtual agents included),
+        per state of ``counts`` (``(S,)`` or ``(R, S)``); the inherited
+        scalar and batched switch computations both use it."""
         virtual = float(self.virtual_agents_per_strategy)
         weights = counts.astype(float) + virtual
-        return weights / weights.sum()
-
-    def sampling_distribution_batch(self, game: CongestionGame,
-                                    counts: np.ndarray) -> np.ndarray:
-        """Per-replica sampling distribution with the virtual agents included
-        (keeps the inherited batched switch computation correct)."""
-        virtual = float(self.virtual_agents_per_strategy)
-        weights = counts.astype(float) + virtual
-        return weights / weights.sum(axis=1, keepdims=True)
-
-    def switch_probabilities(self, game: CongestionGame, state: StateLike
-                             ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        sampling = self.sampling_distribution(game, counts)
-        matrix = mu * sampling[np.newaxis, :]
-        np.fill_diagonal(matrix, 0.0)
-        return SwitchProbabilities(matrix=matrix, gains=gains)
+        return weights / weights.sum(axis=-1, keepdims=True)
 
     def describe(self) -> str:
         return (f"imitation-virtual-agents(lambda={self.lambda_:g}, "

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import GameDefinitionError, StateError
 from ..rng import RngLike
+from .evaluation import BatchEvaluation
 from .latency import LatencyFunction, validate_latency
 
 try:  # scipy is optional: without it the dense incidence path is used
@@ -158,6 +159,8 @@ class CongestionGame:
         self._potential_table: Optional[np.ndarray] = None
         self._kernel_incidence: Optional[tuple] = None
         self._kernel_latency: dict[str, tuple] = {}
+        self._poly_lowering: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._horner: Optional[tuple[np.ndarray, tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -296,6 +299,27 @@ class CongestionGame:
     #: coefficients (kernel_poly_coefficients) instead of value tables.
     _KERNEL_TABLE_CELLS = 200_000_000
 
+    def _kernel_poly_lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lat_kind, poly_coeffs)`` in float64 (cached): the polynomial
+        half of :meth:`kernel_latency_tables`, shared with the latency
+        evaluator of :meth:`resource_latencies_batch`."""
+        if self._poly_lowering is None:
+            coeff_lists: list[Optional[np.ndarray]] = [
+                lat.kernel_poly_coefficients() for lat in self._latencies]
+            width = max((c.size for c in coeff_lists if c is not None), default=1)
+            lat_kind = np.zeros(self.num_resources, dtype=np.int64)
+            poly_coeffs = np.zeros((self.num_resources, width))
+            for e, coeffs in enumerate(coeff_lists):
+                if coeffs is None:
+                    lat_kind[e] = 1
+                    continue
+                # Horner wants highest degree first; left-pad with zeros.
+                poly_coeffs[e, width - coeffs.size:] = coeffs[::-1]
+            for arr in (lat_kind, poly_coeffs):
+                arr.setflags(write=False)
+            self._poly_lowering = (lat_kind, poly_coeffs)
+        return self._poly_lowering
+
     def kernel_latency_tables(self, dtype=np.float64
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-resource latency lowering for the native kernel (cached per dtype).
@@ -315,19 +339,10 @@ class CongestionGame:
         """
         key = np.dtype(dtype).name
         if key not in self._kernel_latency:
-            coeff_lists: list[Optional[np.ndarray]] = [
-                lat.kernel_poly_coefficients() for lat in self._latencies]
-            table_resources = [e for e, c in enumerate(coeff_lists) if c is None]
-            width = max((c.size for c in coeff_lists if c is not None), default=1)
-            lat_kind = np.zeros(self.num_resources, dtype=np.int64)
-            poly_coeffs = np.zeros((self.num_resources, width), dtype=dtype)
+            lat_kind, poly_coeffs = self._kernel_poly_lowering()
+            poly_coeffs = poly_coeffs.astype(dtype)
+            table_resources = np.nonzero(lat_kind)[0].tolist()
             table_row = np.zeros(self.num_resources, dtype=np.int64)
-            for e, coeffs in enumerate(coeff_lists):
-                if coeffs is None:
-                    lat_kind[e] = 1
-                    continue
-                # Horner wants highest degree first; left-pad with zeros.
-                poly_coeffs[e, width - coeffs.size:] = coeffs[::-1]
             cells = len(table_resources) * (self.num_players + 2)
             if cells > self._KERNEL_TABLE_CELLS:
                 names = [repr(self._latencies[e]) for e in table_resources[:3]]
@@ -346,7 +361,7 @@ class CongestionGame:
                     table_row[e] = row
             else:
                 table = np.zeros((1, 1), dtype=dtype)
-            for arr in (lat_kind, poly_coeffs, table, table_row):
+            for arr in (poly_coeffs, table, table_row):
                 arr.setflags(write=False)
             self._kernel_latency[key] = (lat_kind, poly_coeffs, table, table_row)
         return self._kernel_latency[key]
@@ -434,11 +449,49 @@ class CongestionGame:
             return self._inc_csr_t @ counts.astype(float)
         return self._incidence.T @ counts.astype(float)
 
+    def _horner_lowering(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``(coefficients, value_resources)`` of the latency evaluator (cached).
+
+        ``coefficients`` is ``(K, m)``, highest degree first, with the
+        polynomial rows of :meth:`_kernel_poly_lowering` for every resource
+        whose latency is ``horner_exact`` and zeros elsewhere; leading
+        all-zero degrees are dropped (``0 * x + c == c`` exactly).
+        ``value_resources`` are the resources evaluated by ``lat.value``.
+        """
+        if self._horner is None:
+            lat_kind, poly_coeffs = self._kernel_poly_lowering()
+            horner = np.array([kind == 0 and lat.horner_exact
+                               for kind, lat in zip(lat_kind, self._latencies)])
+            coefficients = np.where(horner[:, np.newaxis], poly_coeffs, 0.0).T
+            used = np.nonzero(coefficients.any(axis=1))[0]
+            first = int(used[0]) if used.size else coefficients.shape[0] - 1
+            coefficients = np.ascontiguousarray(coefficients[first:])
+            coefficients.setflags(write=False)
+            self._horner = (coefficients, tuple(np.nonzero(~horner)[0].tolist()))
+        return self._horner
+
+    def _evaluate_latencies(self, loads: np.ndarray) -> np.ndarray:
+        """The one latency evaluator: every resource's latency at ``loads``
+        of shape ``(..., m)``.
+
+        A single Horner pass covers the ``horner_exact`` resources and
+        ``lat.value`` the rest, one contiguous column each.  Each output
+        element depends only on its own load, so the scalar and batched
+        callers get bit-identical values.
+        """
+        coefficients, value_resources = self._horner_lowering()
+        latencies = np.empty(loads.shape)
+        latencies[...] = coefficients[0]
+        for row in coefficients[1:]:
+            latencies *= loads
+            latencies += row
+        for e in value_resources:
+            latencies[..., e] = self._latencies[e].value(np.array(loads[..., e]))
+        return latencies
+
     def resource_latencies(self, loads: np.ndarray) -> np.ndarray:
         """Evaluate every resource's latency at the given load vector."""
-        loads = np.asarray(loads, dtype=float)
-        return np.array([lat.value(np.asarray(load)) for lat, load in zip(self._latencies, loads)],
-                        dtype=float)
+        return self._evaluate_latencies(np.asarray(loads, dtype=float))
 
     def strategy_latencies(self, state: StateLike) -> np.ndarray:
         """``l_P(x)`` for every strategy ``P`` (shape (S,))."""
@@ -488,51 +541,65 @@ class CongestionGame:
     # ------------------------------------------------------------------
     # Batched latency evaluation (ensemble engine)
     # ------------------------------------------------------------------
-    def congestion_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def batch_evaluation(self, batch: Union[BatchStateLike, BatchEvaluation]
+                       ) -> BatchEvaluation:
+        """Validate ``batch`` once and return its :class:`BatchEvaluation`,
+        whose latencies and post-migration matrix are computed on first use
+        and shared by every reader; an evaluation of this game is returned
+        as it is."""
+        if isinstance(batch, BatchEvaluation) and batch.game is self:
+            return batch
+        return BatchEvaluation(self, self.validate_batch_state(batch))
+
+    def _evaluation(self, batch: Union[BatchStateLike, BatchEvaluation]
+                    ) -> BatchEvaluation:
+        """Like :meth:`batch_evaluation` without validation beyond
+        :func:`as_batch_counts` (the batch methods' historical contract)."""
+        if isinstance(batch, BatchEvaluation) and batch.game is self:
+            return batch
+        return BatchEvaluation(self, as_batch_counts(batch))
+
+    def congestion_batch(self, batch: Union[BatchStateLike, BatchEvaluation]
+                         ) -> np.ndarray:
         """Per-replica resource congestion, shape ``(R, m)``."""
-        counts = as_batch_counts(batch)
+        counts = self._evaluation(batch).counts
         if self._sparse:
             return (self._inc_csr_t @ counts.astype(float).T).T
         return counts.astype(float) @ self._incidence
 
     def resource_latencies_batch(self, loads: np.ndarray) -> np.ndarray:
-        """Evaluate every resource's latency on an ``(R, m)`` load matrix.
+        """Evaluate every resource's latency on an ``(R, m)`` load matrix
+        (the evaluator of :meth:`resource_latencies`, so a batch row equals
+        the scalar call bit for bit)."""
+        return self._evaluate_latencies(np.asarray(loads, dtype=float))
 
-        Each latency function is evaluated once on its whole column, so the
-        cost is one vectorised call per resource regardless of ``R``.
-        """
-        loads = np.asarray(loads, dtype=float)
-        columns = [np.asarray(lat.value(loads[:, e]), dtype=float)
-                   for e, lat in enumerate(self._latencies)]
-        return np.stack(columns, axis=1)
-
-    def strategy_latencies_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def strategy_latencies_batch(self, batch: Union[BatchStateLike, BatchEvaluation]
+                                 ) -> np.ndarray:
         """``l_P(x_r)`` for every replica and strategy, shape ``(R, S)``."""
-        loads = self.congestion_batch(batch)
-        latencies = self.resource_latencies_batch(loads)
+        latencies = self._evaluation(batch).latency_now
         if self._sparse:
             return (self._inc_csr @ latencies.T).T
         return latencies @ self._incidence.T
 
-    def strategy_latencies_after_join_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def strategy_latencies_after_join_batch(
+            self, batch: Union[BatchStateLike, BatchEvaluation]) -> np.ndarray:
         """``l_P(x_r + 1_P)`` per replica and strategy, shape ``(R, S)``."""
-        loads = self.congestion_batch(batch)
-        latencies = self.resource_latencies_batch(loads + 1.0)
+        latencies = self._evaluation(batch).latency_plus
         if self._sparse:
             return (self._inc_csr @ latencies.T).T
         return latencies @ self._incidence.T
 
-    def post_migration_latency_matrix_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def post_migration_latency_matrix_batch(
+            self, batch: Union[BatchStateLike, BatchEvaluation]) -> np.ndarray:
         """``M[r, P, Q] = l_Q(x_r + 1_Q - 1_P)``, shape ``(R, S, S)``.
 
         The broadcasted analogue of :meth:`post_migration_latency_matrix`:
         the marginal latency increase is evaluated once per replica and the
         overlap correction is a batched matrix product.
         """
-        loads = self.congestion_batch(batch)
-        latency_now = self.resource_latencies_batch(loads)
-        latency_plus = self.resource_latencies_batch(loads + 1.0)
-        marginal = latency_plus - latency_now  # (R, m)
+        evaluation = self._evaluation(batch)
+        latency_plus = evaluation.latency_plus
+        marginal = latency_plus - evaluation.latency_now  # (R, m)
         if self._sparse:
             joined = (self._inc_csr @ latency_plus.T).T  # (R, S)
             overlap_correction = self._overlap_correction_batch(marginal)
@@ -580,17 +647,19 @@ class CongestionGame:
     # ------------------------------------------------------------------
     # Batched aggregates (ensemble engine)
     # ------------------------------------------------------------------
-    def average_latency_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def average_latency_batch(self, batch: Union[BatchStateLike, BatchEvaluation]
+                              ) -> np.ndarray:
         """``L_av(x_r)`` per replica, shape ``(R,)``."""
-        counts = as_batch_counts(batch)
-        latencies = self.strategy_latencies_batch(counts)
-        return np.einsum("rs,rs->r", counts.astype(float), latencies) / self.num_players
+        evaluation = self._evaluation(batch)
+        return np.einsum("rs,rs->r", evaluation.counts.astype(float),
+                         evaluation.strategy_latencies) / self.num_players
 
-    def average_latency_after_join_batch(self, batch: BatchStateLike) -> np.ndarray:
+    def average_latency_after_join_batch(
+            self, batch: Union[BatchStateLike, BatchEvaluation]) -> np.ndarray:
         """``L_av^+(x_r)`` per replica, shape ``(R,)``."""
-        counts = as_batch_counts(batch)
-        latencies_plus = self.strategy_latencies_after_join_batch(counts)
-        return np.einsum("rs,rs->r", counts.astype(float), latencies_plus) / self.num_players
+        evaluation = self._evaluation(batch)
+        return np.einsum("rs,rs->r", evaluation.counts.astype(float),
+                         evaluation.strategy_latencies_plus) / self.num_players
 
     def total_latency_batch(self, batch: BatchStateLike) -> np.ndarray:
         """``n * L_av(x_r)`` per replica, shape ``(R,)``."""
@@ -602,9 +671,8 @@ class CongestionGame:
 
     def makespan_batch(self, batch: BatchStateLike) -> np.ndarray:
         """Per-replica maximum latency over occupied strategies, shape ``(R,)``."""
-        counts = as_batch_counts(batch)
-        latencies = self.strategy_latencies_batch(counts)
-        masked = np.where(counts > 0, latencies, -np.inf)
+        evaluation = self._evaluation(batch)
+        masked = np.where(evaluation.counts > 0, evaluation.strategy_latencies, -np.inf)
         result = masked.max(axis=1)
         return np.where(np.isfinite(result), result, 0.0)
 

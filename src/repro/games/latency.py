@@ -70,6 +70,13 @@ class LatencyFunction(ABC):
     #: exempt from the positivity assumption and excluded from ``l_min``.
     is_structural_zero: bool = False
 
+    #: True when a Horner pass over :meth:`kernel_poly_coefficients`
+    #: reproduces :meth:`value` bit for bit, so the game's shared latency
+    #: evaluator may use it.  Monomials, scaled and shifted functions have
+    #: exact polynomial forms but round differently (``a * x**2`` is not
+    #: ``(a * x) * x``), so they keep ``False`` and are evaluated by value.
+    horner_exact: bool = False
+
     @abstractmethod
     def value(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the latency at congestion ``x`` (vectorised)."""
@@ -170,6 +177,7 @@ class ConstantLatency(LatencyFunction):
     """
 
     zero_at_zero = False
+    horner_exact = True
 
     def __init__(self, c: float):
         if c < 0:
@@ -231,6 +239,8 @@ class LinearLatency(LatencyFunction):
     the paper (Price of Imitation); its elasticity is exactly 1 and its slope
     is ``a``.
     """
+
+    horner_exact = True
 
     def __init__(self, a: float, b: float = 0.0):
         if a < 0 or b < 0:
@@ -315,6 +325,8 @@ class PolynomialLatency(LatencyFunction):
     at most ``d`` (paper, Section 1), which this class reports exactly as the
     largest exponent with a non-zero coefficient.
     """
+
+    horner_exact = True  # value() is np.polyval, itself a Horner pass
 
     def __init__(self, coeffs: Sequence[float]):
         coeff_array = np.asarray(list(coeffs), dtype=float)

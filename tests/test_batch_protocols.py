@@ -60,8 +60,8 @@ def test_batch_matches_scalar_row_for_row(name):
         assert matrices.shape == (6, game.num_strategies, game.num_strategies)
         for row in range(6):
             expected = protocol.switch_probabilities(game, batch[row]).matrix
-            np.testing.assert_allclose(matrices[row], expected, atol=1e-12,
-                                       err_msg=f"{name} on {game.name}, replica {row}")
+            np.testing.assert_array_equal(matrices[row], expected,
+                                          err_msg=f"{name} on {game.name}, replica {row}")
 
 
 def test_batch_rows_are_valid_switch_matrices():

@@ -40,7 +40,7 @@ from repro.core.native import (
 from repro.core.protocols import (
     Protocol,
     SwitchProbabilities,
-    relative_gain_matrix_batch,
+    relative_gain_matrix,
     zero_diagonal,
 )
 from repro.core.virtual_agents import VirtualAgentImitationProtocol
@@ -99,7 +99,7 @@ def _components_switch_matrix(game, components, counts):
     latencies = game.strategy_latencies_batch(counts)
     post = game.post_migration_latency_matrix_batch(counts)
     gains = latencies[:, :, np.newaxis] - post
-    relative = relative_gain_matrix_batch(latencies, post)
+    relative = relative_gain_matrix(latencies, post)
     n, S = game.num_players, game.num_strategies
     out = np.zeros_like(relative)
     for c in range(components.num_components):
