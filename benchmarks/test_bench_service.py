@@ -2,10 +2,10 @@
 
 The acceptance guard: a warm service (every grid point committed to the
 store) must answer at least **200 cached aggregate requests per second**
-through the real HTTP stack — daemon thread pool, chunked/JSON encoding,
-urllib client, one TCP connection per request.  That is the "equilibrium
-queries are cheap repeated reads" promise of the service: the hot path is
-a disk read plus a group-by, never a recompute.
+through the real HTTP stack — daemon thread pool, JSON encoding,
+``http.client`` keep-alive, one connection per client thread.  That is the
+"equilibrium queries are cheap repeated reads" promise of the service: the
+hot path is a disk read plus a group-by, never a recompute.
 
 A companion (unguarded) benchmark times the cache-hit submit path — the
 ``POST /v1/sweeps`` answered from the store without enqueueing a job.

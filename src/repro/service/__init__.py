@@ -18,8 +18,8 @@ multiplexed through one long-running process:
   (:class:`RemoteWorker`, the ``repro worker`` verb);
 * :mod:`~repro.service.server` — the stdlib-only threaded HTTP daemon and
   the transport-independent :class:`SweepService` application object;
-* :mod:`~repro.service.client` — the typed urllib
-  :class:`ServiceClient`;
+* :mod:`~repro.service.client` — the typed :class:`ServiceClient`
+  (``http.client`` keep-alive, one connection per client thread);
 * :mod:`~repro.service.api` — payload resolution and
   :class:`ServiceError`.
 

@@ -1,24 +1,30 @@
-"""A typed client for the sweep service (urllib-based, no dependencies).
+"""A typed client for the sweep service (stdlib ``http.client``, no
+dependencies).
 
 >>> client = ServiceClient("http://127.0.0.1:8080")   # doctest: +SKIP
 >>> response = client.submit(preset="logn", quick=True)  # doctest: +SKIP
 >>> job = client.wait(response["job"]["job_id"])      # doctest: +SKIP
 >>> rows = client.rows(response["spec_hash"])         # doctest: +SKIP
 
-Every failure is raised as a :class:`~repro.service.api.ServiceError`
-carrying the HTTP status and the server's error message; transport
-failures (daemon not running, connection refused) carry ``status=None``.
+Requests travel over HTTP/1.1 keep-alive, one persistent connection per
+client thread.  Every failure is raised as a
+:class:`~repro.service.api.ServiceError` carrying the HTTP status and the
+server's error message; transport failures (daemon not running,
+connection refused) carry ``status=None``.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Iterator, Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 from ..sweeps import SweepSpec
 from ..telemetry.spans import (
@@ -46,6 +52,14 @@ class ServiceClient:
     dedup/409 machinery handles *deliberate* replays).  The final
     :class:`~repro.service.api.ServiceError` carries the last underlying
     exception as ``last_error``.
+
+    Each thread of each process keeps its own keep-alive connection, so
+    threads never interleave requests on one socket and a forked child
+    never writes to its parent's.  A pooled socket the daemon has closed
+    (idle timeout, restart) is found before a request is written on it
+    and replaced, so it costs no failed request — and a POST is still
+    never sent twice.  :meth:`close` (or leaving a ``with`` block) closes
+    every thread's connection.
     """
 
     #: First backoff step; doubles per attempt (then jitter is applied).
@@ -57,13 +71,36 @@ class ServiceClient:
         if retries < 0:
             raise ValueError("retries must be non-negative")
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.netloc:
+            raise ServiceError(f"unsupported service URL {base_url!r}: "
+                               "expected http://HOST[:PORT]", status=None)
+        self._netloc, self._path_prefix = url.netloc, url.path
         self.timeout = timeout
         self.retries = retries
         self.spans = spans
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        # Weak, so a finished thread's connection is freed with it.
+        self._connections = weakref.WeakSet()  # guarded-by: _lock
+
+    def close(self) -> None:
+        """Close the pooled connection of every thread.  Call it when no
+        request is in flight; a later request opens a new connection."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ----------------------------------------------------------- transport
     def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> urllib.request.addinfourl:
+                 payload: Optional[dict] = None) -> bytes:
         # One span per *logical* request: transport retries stay inside it
         # (the final `attempts` attr says how many it took), and every
         # attempt carries the span's context as `traceparent` plus its
@@ -93,8 +130,13 @@ class ServiceClient:
 
     def _request_once(self, method: str, path: str,
                       payload: Optional[dict] = None, *,
-                      attempt: int = 1) -> urllib.request.addinfourl:
-        url = f"{self.base_url}{path}"
+                      attempt: int = 1) -> bytes:
+        """One exchange on this thread's connection; the whole body.
+
+        The body is read to the end before the connection is used again;
+        any failure on the way closes the connection instead, so no
+        half-read response is ever parsed as the next one.
+        """
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         headers: dict[str, str] = (
             {"Content-Type": "application/json"} if body else {})
@@ -103,36 +145,52 @@ class ServiceClient:
             if context is not None:
                 headers["traceparent"] = encode_traceparent(context)
                 headers["x-repro-attempt"] = str(attempt)
-        request = urllib.request.Request(
-            url, data=body, method=method, headers=headers)
+        connection = self._connection()
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            raise ServiceError(self._error_message(error),
-                               status=error.code) from None
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach sweep service at {self.base_url}: "
-                f"{error.reason}", status=None, last_error=error) from error
-        except (ConnectionResetError, http.client.HTTPException) as error:
-            # urlopen lets a mid-response reset (or a server closing the
-            # socket between keep-alive requests) escape unwrapped.
+            connection.request(method, self._path_prefix + path, body=body,
+                               headers=headers)
+            response = connection.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
             raise ServiceError(
                 f"cannot reach sweep service at {self.base_url}: "
                 f"{type(error).__name__}: {error}",
                 status=None, last_error=error) from error
+        if not 200 <= response.status < 300:
+            raise ServiceError(
+                self._error_message(response.status, response.reason, data),
+                status=response.status)
+        return data
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection, replaced when the daemon
+        has closed it or when it was opened by another process (closing a
+        forked child's copy releases only the child's descriptor)."""
+        local = self._local
+        connection = getattr(local, "connection", None)
+        if connection is not None and (local.pid != os.getpid()
+                                       or _peer_closed(connection.sock)):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = http.client.HTTPConnection(self._netloc,
+                                                    timeout=self.timeout)
+            local.connection, local.pid = connection, os.getpid()
+            with self._lock:
+                self._connections.add(connection)
+        return connection
 
     @staticmethod
-    def _error_message(error: urllib.error.HTTPError) -> str:
+    def _error_message(status: int, reason: str, body: bytes) -> str:
         try:
-            return json.loads(error.read())["error"]
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            return f"HTTP {error.code}: {error.reason}"
+            return json.loads(body)["error"]
+        except (ValueError, KeyError, TypeError):
+            return f"HTTP {status}: {reason}"
 
     def _json(self, method: str, path: str,
               payload: Optional[dict] = None) -> Any:
-        with self._request(method, path, payload) as response:
-            return json.loads(response.read())
+        return json.loads(self._request(method, path, payload))
 
     # ------------------------------------------------------------- surface
     def healthz(self) -> dict[str, Any]:
@@ -141,8 +199,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics`` — raw Prometheus text exposition."""
-        with self._request("GET", "/v1/metrics") as response:
-            return response.read().decode("utf-8")
+        return self._request("GET", "/v1/metrics").decode("utf-8")
 
     def presets(self) -> list[dict[str, Any]]:
         """``GET /v1/presets``."""
@@ -269,11 +326,10 @@ class ServiceClient:
         ``json.dumps`` produces for a direct ``run_sweep``'s rows), so
         comparing serving paths never trips over formatting.
         """
-        with self._request("GET", f"/v1/sweeps/{spec_hash}/rows") as response:
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\n")
-                if line:
-                    yield line
+        body = self._request("GET", f"/v1/sweeps/{spec_hash}/rows")
+        for line in body.decode("utf-8").split("\n"):
+            if line:
+                yield line
 
     def rows(self, spec_hash: str) -> list[dict[str, Any]]:
         """The committed rows of a sweep, parsed."""
@@ -289,3 +345,21 @@ class ServiceClient:
             query += f"&stats={','.join(stats)}"
         return self._json("GET",
                           f"/v1/sweeps/{spec_hash}/aggregate?{query}")["rows"]
+
+
+def _peer_closed(sock: Optional[socket.socket]) -> bool:
+    """Whether an idle keep-alive socket is unusable: the peer closed or
+    reset it, or sent bytes no request asked for.  A zero-wait peek."""
+    if sock is None:
+        return False  # not connected yet: http.client connects on request
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False  # nothing to read: still open
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+    return True

@@ -20,7 +20,7 @@ Routes (all JSON unless noted)::
     GET  /v1/jobs                      every job, submission order
     GET  /v1/jobs/<id>                 one job
     POST /v1/jobs/<id>/cancel          cancel a queued job
-    GET  /v1/sweeps/<hash>/rows        committed rows, streamed JSONL
+    GET  /v1/sweeps/<hash>/rows        committed rows, JSONL
     GET  /v1/sweeps/<hash>/aggregate   group-by reduction over the rows
     POST /v1/shards/lease              lease a pending shard (remote worker)
     POST /v1/shards/<lease>/heartbeat  renew a shard lease
@@ -31,6 +31,12 @@ and lands in the ``repro_http_request_seconds{route}`` latency histogram
 (routes are normalised to templates — ``/v1/jobs/{id}`` — so job ids never
 explode the label space).  ``--access-log`` additionally emits one
 structured JSON line per request to stderr (docs/OBSERVABILITY.md).
+
+Connections are HTTP/1.1 keep-alive with Nagle's algorithm off.  Every
+response goes out in one write with a ``Content-Length``, after its
+request has been counted; ``repro_http_connections_total`` counts the
+connections accepted, so connection reuse shows next to the request
+counters.
 
 The cache contract: ``POST /v1/sweeps`` whose spec is fully committed in
 the store answers ``{"cached": true, ...}`` *without enqueueing a job* —
@@ -46,7 +52,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -211,8 +219,8 @@ class SweepService:
         """The rows as JSONL lines, byte-identical to the store encoding.
 
         Unknown hashes raise *before* the iterator is returned (not lazily
-        inside it), so the HTTP layer can still answer 404 — once the 200
-        header of a stream is out, there is no way to signal the error.
+        inside it), so a caller learns of the 404 when it asks, not midway
+        through the lines.
         """
         rows = self.rows(spec_hash)
         return (json.dumps(row) for row in rows)
@@ -283,10 +291,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-sweep-service"
+    # Keep-alive clients send their next request only after the previous
+    # response arrived; with Nagle on, a response's last segment waits for
+    # the client's delayed ACK (about 40 ms per request).
+    disable_nagle_algorithm = True
+    #: Seconds a connection may sit idle between requests before the
+    #: server closes it, so idle keep-alive clients cannot pin handler
+    #: threads forever.
+    timeout = 60.0
 
     MAX_BODY = 8 * 1024 * 1024  # spec payloads are small; reject abuse
 
     # ------------------------------------------------------------ plumbing
+    def setup(self) -> None:
+        super().setup()
+        self.service.registry.counter(
+            "http_connections_total",
+            "TCP connections accepted (keep-alive clients reuse one)").inc()
+
     def log_request(self, code="-", size="-") -> None:
         # Superseded: the instrumented dispatch emits a richer structured
         # access event (route template, latency) per request.
@@ -347,27 +369,31 @@ class _Handler(BaseHTTPRequestHandler):
                 "http_request", client=self.address_string(), method=method,
                 path=self.path, route=route, status=self._status,
                 duration_ms=round(elapsed * 1000, 3))
+            # Written only now, so a client that holds the response also
+            # finds its request counted at /v1/metrics.
+            self.flush_headers()
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Buffer the response for one write: a response split over
+        several small writes costs a segment (and a wakeup) each.
+        ``send_header`` collects the header lines in ``_headers_buffer``
+        until ``flush_headers`` writes them; the body joins that write,
+        which :meth:`_dispatch` makes once the request is counted."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self._headers_buffer.extend((b"\r\n", body))
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json",
+                   (json.dumps(payload) + "\n").encode("utf-8"))
 
     def _send_jsonl(self, lines: Iterable[str]) -> None:
-        """Stream lines as chunked ``application/x-ndjson``."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        for line in lines:
-            data = (line + "\n").encode("utf-8")
-            self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
-        self.wfile.write(b"0\r\n\r\n")
+        """Send lines as one ``application/x-ndjson`` body.  The body is
+        built before the status line goes out, so an encoding error still
+        becomes an error response."""
+        self._send(200, "application/x-ndjson",
+                   "".join(line + "\n" for line in lines).encode("utf-8"))
 
     def _send_error(self, error: Exception) -> None:
         status = 400
@@ -448,13 +474,8 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["v1", "healthz"]:
             self._send_json(self.service.healthz())
         elif parts == ["v1", "metrics"]:
-            body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, "text/plain; version=0.0.4; charset=utf-8",
+                       self.service.metrics_text().encode("utf-8"))
         elif parts == ["v1", "presets"]:
             self._send_json({"presets": preset_summaries()})
         elif parts == ["v1", "jobs"]:
@@ -521,6 +542,39 @@ class _Handler(BaseHTTPRequestHandler):
                                       stats=stats)
 
 
+class _Server(ThreadingHTTPServer):
+    """Closing the server also ends its open keep-alive connections; their
+    handler threads would otherwise go on answering for a stopped
+    service."""
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()  # guarded-by: _lock
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            still_open = list(self._open)
+        for request in still_open:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it in the meantime
+
+
 def make_server(service: SweepService, *, host: str = "127.0.0.1",
                 port: int = 0, quiet: bool = True,
                 access_log: bool = False) -> ThreadingHTTPServer:
@@ -536,9 +590,7 @@ def make_server(service: SweepService, *, host: str = "127.0.0.1",
     handler = type("BoundSweepServiceHandler", (_Handler,),
                    {"service": service, "quiet": quiet,
                     "access_log": logger})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((host, port), handler)
 
 
 def _install_shutdown_signals() -> None:

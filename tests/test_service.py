@@ -9,16 +9,24 @@ subsystem live here:
   :func:`run_sweep` of the same spec;
 * re-submitting a fully-stored spec is answered from cache without a job;
 * concurrent duplicate submits coalesce into one job;
-* malformed specs fail with HTTP 400 carrying the ``ReproError`` message.
+* malformed specs fail with HTTP 400 carrying the ``ReproError`` message;
+* the transport is HTTP/1.1 keep-alive: no Nagle stall, one connection per
+  client thread, and stale or abandoned connections cost no failed request.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +41,10 @@ from repro.service import (
     make_server,
     resolve_spec,
 )
+from repro.service import server as server_module
 from repro.sweeps import SweepSpec, SweepStore, aggregate_rows, run_sweep
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -69,6 +80,7 @@ class ServiceHarness:
         self.client = ServiceClient(self.url, timeout=10.0)
 
     def close(self):
+        self.client.close()
         self.server.shutdown()
         self.server.server_close()
         self.service.stop()
@@ -437,3 +449,183 @@ class TestEndToEnd:
         run_sweep(spec, workers=1, store=harness.service.store)
         response = harness.client.submit(spec=spec)
         assert response["cached"] is True
+
+
+# ----------------------------------------------------------------------
+# Keep-alive transport
+# ----------------------------------------------------------------------
+
+def connections_opened(service: SweepService) -> float:
+    return service.registry.snapshot().value("http_connections_total")
+
+
+def spawn_daemon(store, port: int = 0) -> tuple[subprocess.Popen, str]:
+    """A real ``repro serve`` process; returns it and its base URL."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--store", str(store)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    banner = daemon.stdout.readline()
+    assert "listening on http://" in banner, banner
+    return daemon, banner.split("listening on ")[1].split()[0]
+
+
+def stop_daemon(daemon: subprocess.Popen) -> None:
+    daemon.send_signal(signal.SIGTERM)
+    try:
+        daemon.wait(timeout=30)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=10)
+        daemon.stdout.close()
+
+
+def sweep_posts(client: ServiceClient) -> float:
+    """``POST /v1/sweeps`` requests the daemon has served, any status."""
+    prefix = 'repro_http_requests_total{method="POST",route="/v1/sweeps",'
+    return sum(float(line.rsplit(" ", 1)[1])
+               for line in client.metrics_text().splitlines()
+               if line.startswith(prefix))
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_do_not_stall(self, harness):
+        """With Nagle on, every keep-alive response waited for the
+        client's delayed ACK: about 43 ms a request."""
+        host, port = harness.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            started = time.perf_counter()
+            for _ in range(50):
+                connection.request("GET", "/v1/presets")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            mean_ms = 1000.0 * (time.perf_counter() - started) / 50
+        finally:
+            connection.close()
+        assert mean_ms < 10.0
+        assert connections_opened(harness.service) == 1
+
+    def test_a_request_is_counted_before_its_response_arrives(
+            self, harness):
+        """Scraped over another connection, /v1/metrics must already
+        count a request whose response the client holds."""
+        host, port = harness.server.server_address[:2]
+        for count in range(1, 41):
+            probe = http.client.HTTPConnection(host, port, timeout=5)
+            try:
+                probe.request("GET", "/v1/no/such/route")
+                assert probe.getresponse().status == 404
+            finally:
+                probe.close()
+            assert ('repro_http_requests_total{method="GET",route="/other",'
+                    f'status="404"}} {count}'
+                    in harness.client.metrics_text().splitlines())
+
+    def test_one_connection_per_client_thread(self, harness):
+        for _ in range(10):
+            harness.client.presets()
+            harness.client.jobs()
+            harness.client.metrics_text()
+        assert connections_opened(harness.service) == 1
+
+        client = ServiceClient(harness.url, timeout=10.0, retries=0)
+        answers: list[int] = []
+
+        def fifteen_requests() -> None:
+            for _ in range(15):
+                answers.append(len(client.presets()))
+
+        threads = [threading.Thread(target=fifteen_requests)
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(answers) == 30
+        assert connections_opened(harness.service) == 3
+
+        harness.client.close()
+        harness.client.presets()
+        assert connections_opened(harness.service) == 4
+
+    def test_abandoned_row_iterator_leaves_the_client_usable(self, harness):
+        response = harness.client.submit_and_wait(spec=tiny_spec(),
+                                                  timeout=60)
+        spec_hash = response["spec_hash"]
+        for _ in harness.client.iter_row_lines(spec_hash):
+            break
+        rows = run_sweep(tiny_spec(), workers=1).rows
+        assert harness.client.aggregate(spec_hash, by=["n"]) \
+            == json.loads(json.dumps(aggregate_rows(rows, by=["n"])))
+        assert harness.client.rows(spec_hash) == rows
+
+    def test_idle_connection_is_closed_and_client_reconnects(
+            self, tmp_path, monkeypatch):
+        assert 0 < server_module._Handler.timeout <= 300
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        harness = ServiceHarness(tmp_path / "store")
+        client = ServiceClient(harness.url, timeout=10.0, retries=0)
+        try:
+            client.healthz()
+            host, port = harness.server.server_address[:2]
+            probe = http.client.HTTPConnection(host, port, timeout=5)
+            try:
+                probe.request("GET", "/v1/healthz")
+                probe.getresponse().read()
+                # EOF, not a 5 s socket timeout: the server hung up.
+                assert probe.sock.recv(1) == b""
+            finally:
+                probe.close()
+            time.sleep(0.1)
+            # The client's connection went idle first, so it is closed
+            # too; the next request must notice and reconnect.
+            assert client.healthz()["status"] == "ok"
+            assert connections_opened(harness.service) == 3
+        finally:
+            client.close()
+            harness.close()
+
+    def test_closed_server_stops_answering_keep_alive_clients(
+            self, tmp_path):
+        harness = ServiceHarness(tmp_path / "store")
+        client = ServiceClient(harness.url, timeout=10.0, retries=0)
+        try:
+            client.healthz()
+        finally:
+            harness.close()
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status is None
+        client.close()
+
+    def test_restarted_daemon_costs_no_failed_request(self, tmp_path):
+        """Each restart leaves the client holding a socket the old daemon
+        closed.  Neither a GET nor a POST may fail on it (retries are off,
+        so one failed attempt would raise), and the POST must reach the
+        new daemon exactly once."""
+        store = tmp_path / "store"
+        daemon, url = spawn_daemon(store)
+        port = int(url.rsplit(":", 1)[1])
+        client = ServiceClient(url, timeout=30.0, retries=0)
+        try:
+            assert client.healthz()["status"] == "ok"
+            stop_daemon(daemon)
+            daemon, _ = spawn_daemon(store, port)
+            assert client.healthz()["status"] == "ok"
+            stop_daemon(daemon)
+            daemon, _ = spawn_daemon(store, port)
+            response = client.submit(spec=tiny_spec())
+            assert response["created"] is True
+            assert sweep_posts(client) == 1
+            client.wait(response["job"]["job_id"], timeout=60)
+        finally:
+            client.close()
+            stop_daemon(daemon)
