@@ -10,10 +10,6 @@ Two acceptance guards from ISSUE 6 plus a float32 record:
   approximate equilibrium inside the time budget — the count-based state
   makes the round cost independent of ``n``, and this guard keeps it that
   way.
-
-With ``REPRO_BENCH_RECORD=1`` every measured number lands in
-``BENCH_<pr>.json`` via the ``pytest_sessionfinish`` hook in
-``conftest.py``/``record.py``.
 """
 
 from __future__ import annotations

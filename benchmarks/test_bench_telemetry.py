@@ -21,7 +21,7 @@ from heap state (a large live heap spreads allocations across more pages
 recorded its number early in its session with a small heap.  The guard
 therefore measures the floor in a fresh subprocess, which reproduces the
 baseline's conditions regardless of what ran before it in this session;
-the in-session timing is still recorded for ``BENCH_7.json``.
+the in-session timing is still reported in the pytest-benchmark JSON.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def test_bench_untraced_ensemble_within_5pct_of_pr6(benchmark,
             replicas=64, max_rounds=60, stop_when_quiescent=False,
         )
 
-    # the in-session timing goes to BENCH_7.json; the assertion uses a
+    # the in-session timing is only reported; the assertion uses a
     # fresh subprocess so session heap state cannot fail a 5% budget
     benchmark.pedantic(run_batch, rounds=5, iterations=1, warmup_rounds=1)
     baseline, comparable = _bench6_baseline()

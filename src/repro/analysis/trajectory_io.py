@@ -19,11 +19,13 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from ..core.dynamics import TrajectoryResult
 from ..core.metrics import RoundRecord
-from ..experiments.registry import ExperimentResult
+
+if TYPE_CHECKING:
+    from ..experiments.registry import ExperimentResult
 
 PathLike = Union[str, Path]
 
@@ -105,6 +107,10 @@ def save_experiment_result(result: ExperimentResult, path: PathLike) -> Path:
 
 def load_experiment_result(path: PathLike) -> ExperimentResult:
     """Read an experiment result back from :func:`save_experiment_result` output."""
+    # Imported here: analysis sits below experiments, whose package pulls
+    # in the sweep and telemetry layers.
+    from ..experiments.registry import ExperimentResult
+
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         payload = json.load(handle)

@@ -116,8 +116,7 @@ _EPILOG = ("Parameter sweeps (the `sweep` command) are documented in "
            "Telemetry — engine round tracing (`simulate --trace`), sweep "
            "metrics (`sweep --metrics-out`), the service's /v1/metrics "
            "Prometheus endpoint, distributed span tracing (`serve/worker "
-           "--spans-out`, analysed by `repro trace`) and the "
-           "`bench-history` trend table — is "
+           "--spans-out`, analysed by `repro trace`) — is "
            "documented in docs/OBSERVABILITY.md.  The `lint` command runs "
            "the repo's static invariant checks (determinism, lock "
            "discipline, hash-input stability — docs/LINT.md).")
@@ -246,18 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     info_parser.add_argument("--json", action="store_true",
                              help="machine-readable JSON instead of prose "
                                   "(for CI and monitoring scrapes)")
-
-    bench_parser = subparsers.add_parser(
-        "bench-history",
-        help="per-guard trend table over the committed BENCH_<pr>.json "
-             "benchmark records")
-    bench_parser.add_argument("--dir", default=".", metavar="DIR",
-                              help="directory holding the BENCH_*.json "
-                                   "records (default: current directory)")
-    bench_parser.add_argument("--only", nargs="*", default=None,
-                              help="restrict to the given benchmark names")
-    bench_parser.add_argument("--markdown", action="store_true",
-                              help="emit a markdown table")
 
     serve_parser = subparsers.add_parser(
         "serve", help="run the sweep-service daemon (see docs/SERVICE.md)",
@@ -578,14 +565,6 @@ def _command_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench_history(args: argparse.Namespace) -> int:
-    from .bench_history import render_bench_history
-
-    print(render_bench_history(args.dir, markdown=args.markdown,
-                               names=args.only))
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from .service import run_service
 
@@ -861,8 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_sweep(args)
         if args.command == "info":
             return _command_info(args)
-        if args.command == "bench-history":
-            return _command_bench_history(args)
         if args.command == "serve":
             return _command_serve(args)
         if args.command == "worker":

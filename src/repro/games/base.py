@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import ModuleType
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,11 +32,6 @@ from ..errors import GameDefinitionError, StateError
 from ..rng import RngLike
 from .evaluation import BatchEvaluation
 from .latency import LatencyFunction, validate_latency
-
-try:  # scipy is optional: without it the dense incidence path is used
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only on scipy-free installs
-    _scipy_sparse = None
 from .state import (
     BatchGameState,
     BatchStateLike,
@@ -146,10 +142,11 @@ class CongestionGame:
             incidence[idx, list(strategy)] = 1.0
         self._incidence = incidence
         self._incidence.setflags(write=False)
-        self._sparse = self._resolve_sparse(sparse_incidence)
-        if self._sparse:
-            self._inc_csr = _scipy_sparse.csr_matrix(incidence)
-            self._inc_csr_t = _scipy_sparse.csr_matrix(incidence.T)
+        sparse = self._resolve_sparse(sparse_incidence)
+        self._sparse = sparse is not None
+        if sparse is not None:
+            self._inc_csr = sparse.csr_matrix(incidence)
+            self._inc_csr_t = sparse.csr_matrix(incidence.T)
         self._overlap_pairs: Optional[object] = None
 
         if validate:
@@ -200,22 +197,30 @@ class CongestionGame:
         """True when latency/potential evaluation runs on the CSR incidence."""
         return self._sparse
 
-    def _resolve_sparse(self, requested: Optional[bool]) -> bool:
-        if requested is True:
+    def _resolve_sparse(self, requested: Optional[bool]) -> Optional[ModuleType]:
+        """The ``scipy.sparse`` module when evaluation runs on the CSR
+        incidence, else None.  scipy is imported only after the size/density
+        rule has chosen sparse, so dense games never load it."""
+        if requested is False:
+            return None
+        if requested is None:
+            cells = self._incidence.size
+            density = float(self._incidence.sum()) / cells
+            if cells < self._SPARSE_CELLS or density > self._SPARSE_DENSITY:
+                return None
+        try:
+            from scipy import sparse
+        except ImportError:
+            if requested is None:
+                return None
             # An explicit request must not degrade silently: a sweep row's
             # sparse_incidence column is part of the deterministic output,
             # so it cannot depend on which machine happened to have scipy.
-            if _scipy_sparse is None:
-                raise GameDefinitionError(
-                    "sparse_incidence=True requires scipy; install it or "
-                    "pass sparse_incidence=None/False"
-                )
-            return True
-        if requested is False or _scipy_sparse is None:
-            return False
-        cells = self._incidence.size
-        density = float(self._incidence.sum()) / cells
-        return cells >= self._SPARSE_CELLS and density <= self._SPARSE_DENSITY
+            raise GameDefinitionError(
+                "sparse_incidence=True requires scipy; install it or "
+                "pass sparse_incidence=None/False"
+            ) from None
+        return sparse
 
     def _overlap_pair_matrix(self):
         """CSR matrix ``W`` of shape ``(S*S, m)`` with ``W[P*S+Q, e] = 1``
@@ -225,6 +230,8 @@ class CongestionGame:
         their per-replica arithmetic is identical.
         """
         if self._overlap_pairs is None:
+            from scipy import sparse
+
             num_strategies = self.num_strategies
             rows: list[np.ndarray] = []
             cols: list[np.ndarray] = []
@@ -242,7 +249,7 @@ class CongestionGame:
                        else np.empty(0, dtype=np.int64))
             col_idx = (np.concatenate(cols) if cols
                        else np.empty(0, dtype=np.int64))
-            self._overlap_pairs = _scipy_sparse.csr_matrix(
+            self._overlap_pairs = sparse.csr_matrix(
                 (np.ones(row_idx.size, dtype=float), (row_idx, col_idx)),
                 shape=(num_strategies * num_strategies, self.num_resources),
             )

@@ -49,9 +49,8 @@ the total path length instead of ``num_paths * num_edges``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..errors import GameDefinitionError
@@ -64,6 +63,11 @@ from .latency import (
     MonomialLatency,
     ZeroLatency,
 )
+
+# networkx is imported by the functions that call it, so that importing
+# repro (and building non-network games) does not need it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = tuple[Hashable, Hashable]
 
@@ -211,6 +215,8 @@ class NetworkCongestionGame(CongestionGame):
         sink: Hashable,
         max_paths: Optional[int],
     ) -> list[tuple[Hashable, ...]]:
+        import networkx as nx
+
         paths: list[tuple[Hashable, ...]] = []
         for path in nx.all_simple_paths(graph, source, sink):
             paths.append(tuple(path))
@@ -232,6 +238,7 @@ class NetworkCongestionGame(CongestionGame):
         freeflow: Mapping[Edge, float],
     ) -> list[tuple[Hashable, ...]]:
         """The ``num_paths`` shortest simple paths by free-flow latency (Yen)."""
+        import networkx as nx
 
         def weight(u: Hashable, v: Hashable, _data: Mapping) -> float:
             return freeflow[(u, v)]
@@ -266,6 +273,8 @@ class NetworkCongestionGame(CongestionGame):
         route; when the DAG holds at most ``num_paths`` paths the exact set
         is enumerated instead.
         """
+        import networkx as nx
+
         if not nx.is_directed_acyclic_graph(graph):
             raise GameDefinitionError(
                 "strategy_mode='dag-sample' needs an acyclic graph; "
@@ -386,6 +395,8 @@ def parallel_links_network_game(
     excluded).  The resulting game is therefore strategically identical to
     the singleton game on the same latencies.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     edge_latencies: dict[Edge, LatencyFunction] = {}
     for idx, latency in enumerate(latencies):
@@ -418,6 +429,8 @@ def braess_network_game(
     the shortcut the unique Nash equilibrium routes everybody through
     ``s->a->b->t``; without it traffic splits evenly.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     n = float(num_players)
     edge_latencies: dict[Edge, LatencyFunction] = {
@@ -469,6 +482,8 @@ def layered_random_network_game(
     if layers < 1 or width < 1:
         raise GameDefinitionError("layers and width must be positive")
     gen = ensure_rng(rng)
+    import networkx as nx
+
     graph = nx.DiGraph()
     edge_latencies: dict[Edge, LatencyFunction] = {}
 
@@ -530,6 +545,8 @@ def grid_network_game(
     if rows < 1 or cols < 1:
         raise GameDefinitionError("rows and cols must be positive")
     gen = ensure_rng(rng)
+    import networkx as nx
+
     graph = nx.DiGraph()
     edge_latencies: dict[Edge, LatencyFunction] = {}
 
@@ -584,6 +601,8 @@ def series_parallel_network_game(
     if blocks < 1 or links_per_block < 1:
         raise GameDefinitionError("blocks and links_per_block must be positive")
     gen = ensure_rng(rng)
+    import networkx as nx
+
     graph = nx.DiGraph()
     edge_latencies: dict[Edge, LatencyFunction] = {}
 

@@ -33,7 +33,6 @@ WALL_CLOCK_EXEMPT = (
     "telemetry/",      # event timestamps, wall-time histograms
     "sweeps/store.py",  # lock stamps, manifest timestamps
     "sweeps/backends/",  # tmp-object names, created_at stanzas
-    "bench_history.py",
     "info.py",
     "lint/",           # the linter itself is tooling, not compute
 )

@@ -58,8 +58,9 @@ class ServiceClient:
     never writes to its parent's.  A pooled socket the daemon has closed
     (idle timeout, restart) is found before a request is written on it
     and replaced, so it costs no failed request — and a POST is still
-    never sent twice.  :meth:`close` (or leaving a ``with`` block) closes
-    every thread's connection.
+    never sent twice.  A thread's connection is closed when the thread
+    ends; :meth:`close` (or leaving a ``with`` block) closes those of
+    every live thread.
     """
 
     #: First backoff step; doubles per attempt (then jitter is applied).
@@ -81,7 +82,8 @@ class ServiceClient:
         self.spans = spans
         self._local = threading.local()
         self._lock = threading.Lock()
-        # Weak, so a finished thread's connection is freed with it.
+        # Weak, so a finished thread's connection is freed (and closed)
+        # with it.
         self._connections = weakref.WeakSet()  # guarded-by: _lock
 
     def close(self) -> None:
@@ -174,8 +176,7 @@ class ServiceClient:
             connection.close()
             connection = None
         if connection is None:
-            connection = http.client.HTTPConnection(self._netloc,
-                                                    timeout=self.timeout)
+            connection = _ThreadConnection(self._netloc, timeout=self.timeout)
             local.connection, local.pid = connection, os.getpid()
             with self._lock:
                 self._connections.add(connection)
@@ -345,6 +346,15 @@ class ServiceClient:
             query += f"&stats={','.join(stats)}"
         return self._json("GET",
                           f"/v1/sweeps/{spec_hash}/aggregate?{query}")["rows"]
+
+
+class _ThreadConnection(http.client.HTTPConnection):
+    """A keep-alive connection held in one thread's local storage.  That
+    storage is freed when the thread ends; the socket is closed here then,
+    not left to the socket's own finalizer, which warns it was unclosed."""
+
+    def __del__(self) -> None:
+        self.close()
 
 
 def _peer_closed(sock: Optional[socket.socket]) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+# np.quantile/np.median import numpy.ma on first call: load it before serving.
+import numpy.ma  # noqa: F401
 
 from ..analysis.statistics import summarize
 from .spec import SweepError

@@ -445,7 +445,7 @@ class TestServiceVerbs:
 
 
 class TestTelemetryVerbs:
-    """The observability CLI surface (PR 7): info --json, bench-history,
+    """The observability CLI surface (PR 7): info --json,
     sweep --metrics-out, simulate --trace, serve --access-log."""
 
     def test_info_json_is_machine_readable(self, capsys):
@@ -509,24 +509,3 @@ class TestTelemetryVerbs:
                   for line in trace.read_text().splitlines()]
         assert events[0]["engine"] == "batch"
         assert events[0]["replicas"] == 4
-
-    def test_bench_history_renders_trend_table(self, capsys):
-        assert build_parser().parse_args(
-            ["bench-history", "--markdown"]).markdown
-        assert main(["bench-history"]) == 0
-        output = capsys.readouterr().out
-        assert "BENCH_6.json" in output
-        assert "pr6_ms" in output and "trend" in output
-
-    def test_bench_history_only_filter_and_errors(self, tmp_path, capsys):
-        assert main(["bench-history", "--only",
-                     "test_bench_e2_logn_scaling"]) == 0
-        output = capsys.readouterr().out
-        assert "test_bench_e2_logn_scaling" in output
-        assert "test_bench_e1_imitation_stable" not in output
-
-        assert main(["bench-history", "--dir", str(tmp_path)]) == 1
-        assert "no BENCH_" in capsys.readouterr().err
-
-        assert main(["bench-history", "--only", "nope"]) == 1
-        assert "no benchmark matches" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import networkx as nx
 import numpy as np
@@ -341,12 +342,19 @@ class TestSparseIncidence:
     def test_explicit_sparse_request_raises_without_scipy(self, monkeypatch):
         # an explicit sparse_incidence=True must not degrade silently: the
         # sweep rows' sparse_incidence column is deterministic output
-        from repro.games import base as base_module
-        monkeypatch.setattr(base_module, "_scipy_sparse", None)
+        # (a None entry in sys.modules makes `from scipy import sparse` raise
+        # ImportError, as on an install without scipy)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.sparse", None)
         with pytest.raises(GameDefinitionError, match="scipy"):
             grid_network_game(5, rows=2, cols=3, rng=0, sparse_incidence=True)
-        # the automatic mode quietly falls back to dense
+        # the automatic mode quietly falls back to dense, even on a game
+        # large and sparse enough to pick CSR when scipy is present
         game = grid_network_game(5, rows=2, cols=3, rng=0)
+        assert not game.uses_sparse_incidence
+        game = grid_network_game(20, rows=10, cols=10, rng=2,
+                                 strategy_mode="dag-sample", num_paths=128,
+                                 path_rng=0)
         assert not game.uses_sparse_incidence
 
     def test_large_sparse_games_switch_automatically(self):

@@ -16,6 +16,7 @@ subsystem live here:
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
@@ -26,6 +27,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -322,8 +324,9 @@ class TestEndToEnd:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as http_excinfo:
             urllib.request.urlopen(request, timeout=5)
-        assert http_excinfo.value.code == 400
-        assert "turbo_mode" in json.loads(http_excinfo.value.read())["error"]
+        with http_excinfo.value as error:
+            assert error.code == 400
+            assert "turbo_mode" in json.loads(error.read())["error"]
 
     def test_invalid_json_body_is_http_400(self, harness):
         request = urllib.request.Request(
@@ -331,14 +334,16 @@ class TestEndToEnd:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 400
-        assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "not valid JSON" in json.loads(error.read())["error"]
 
     def test_unknown_routes_and_hashes_are_404(self, harness):
         for path in ("/v2/sweeps", "/v1/nothing"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{harness.url}{path}", timeout=5)
-            assert excinfo.value.code == 404
+            with excinfo.value as error:
+                assert error.code == 404
         with pytest.raises(ServiceError) as service_excinfo:
             harness.client.rows("feedfacefeedface")
         assert service_excinfo.value.status == 404
@@ -554,6 +559,25 @@ class TestKeepAlive:
 
         harness.client.close()
         harness.client.presets()
+        assert connections_opened(harness.service) == 4
+
+    def test_connections_of_ended_threads_are_closed(self, harness):
+        """A connection whose thread has ended is closed by the client,
+        not left to the socket's finalizer, which warns."""
+        client = ServiceClient(harness.url, timeout=10.0, retries=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            threads = [threading.Thread(target=client.presets)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            client.close()
+            gc.collect()
+        assert [str(warning.message) for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
         assert connections_opened(harness.service) == 4
 
     def test_abandoned_row_iterator_leaves_the_client_usable(self, harness):
