@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -54,35 +54,18 @@ from .core import (
 )
 from .engines import ENGINES
 from .errors import ReproError
-from .experiments import (
-    list_experiments,
-    render_markdown_report,
-    render_report,
-    run_all,
-    run_experiment,
-)
-from .experiments.registry import experiment_accepts
-from .experiments.reporting import render_markdown_table, render_table
-from .info import render_info
-from .presets import get_sweep_preset, list_sweep_presets
 from .games.generators import (
     random_linear_singleton,
     random_monomial_singleton,
     two_link_overshoot_game,
 )
-from .games.network import (
-    braess_network_game,
-    grid_network_game,
-    layered_random_network_game,
-)
-from .sweeps import (
-    SweepError,
-    SweepSpec,
-    SweepStore,
-    aggregate_rows,
-    run_sweep,
-    table_rows,
-)
+from .presets import get_sweep_preset, list_sweep_presets
+
+# The experiments, the sweep layer (multiprocessing, sqlite3) and the
+# network games are imported by the commands that use them, so `--help`,
+# `simulate` or `worker` do not load them.
+if TYPE_CHECKING:
+    from .sweeps import SweepSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -430,13 +413,19 @@ def _build_game(name: str, players: int, links: int, seed: int, *,
     if name == "quadratic-singleton":
         return random_monomial_singleton(players, links, 2.0, rng=seed)
     if name == "braess":
+        from .games.network import braess_network_game
+
         return braess_network_game(players)
     if name == "grid":
+        from .games.network import grid_network_game
+
         return grid_network_game(players,
                                  rows=rows if rows is not None else 2,
                                  cols=cols if cols is not None else 3,
                                  rng=seed, **sampler)
     if name == "layered":
+        from .games.network import layered_random_network_game
+
         return layered_random_network_game(
             players, layers=layers if layers is not None else 3,
             rng=seed, **sampler)
@@ -467,6 +456,8 @@ def _require_positive(name: str, value: Optional[int], *, minimum: int = 1) -> N
 
 
 def _command_list() -> int:
+    from .experiments import list_experiments
+
     for spec in list_experiments():
         print(f"{spec.experiment_id:>4}  {spec.title}")
         print(f"      {spec.claim}")
@@ -474,6 +465,9 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from .experiments import run_experiment
+    from .experiments.registry import experiment_accepts
+
     _require_positive("--trials", args.trials)
     _require_positive("--workers", args.workers)
     kwargs = {}
@@ -492,6 +486,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_run_all(args: argparse.Namespace) -> int:
+    from .experiments import render_markdown_report, render_report, run_all
+
     _require_positive("--jobs", args.jobs)
     results = run_all(quick=args.quick, seed=args.seed, only=args.only, verbose=False,
                       engine=args.engine, jobs=args.jobs)
@@ -506,6 +502,8 @@ def _command_run_all(args: argparse.Namespace) -> int:
 
 
 def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
+    from .sweeps import SweepError, SweepSpec
+
     if args.preset is not None:
         return get_sweep_preset(args.preset, quick=args.quick, seed=args.seed)
     try:
@@ -523,6 +521,8 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 def _apply_engine_override(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
     """Fold a ``--engine`` override into the spec (and thus its store key)."""
+    from .sweeps import SweepSpec
+
     engine = getattr(args, "engine", None)
     if engine is not None and engine != spec.engine:
         spec = SweepSpec.from_dict({**spec.to_dict(), "engine": engine})
@@ -530,6 +530,9 @@ def _apply_engine_override(spec: SweepSpec, args: argparse.Namespace) -> SweepSp
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_markdown_table, render_table
+    from .sweeps import SweepStore, aggregate_rows, run_sweep, table_rows
+
     _require_positive("--workers", args.workers)
     spec = _apply_engine_override(_load_sweep_spec(args), args)
     store = SweepStore(args.store) if args.store else None
@@ -556,9 +559,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_info(args: argparse.Namespace) -> int:
-    if args.json:
-        from .info import runtime_info
+    from .info import render_info, runtime_info
 
+    if args.json:
         print(json.dumps(runtime_info(), indent=2, sort_keys=True))
         return 0
     print(render_info())
@@ -671,7 +674,9 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _command_fetch(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_markdown_table, render_table
     from .service import ServiceClient
+    from .sweeps import table_rows
 
     client = ServiceClient(args.url)
     if args.jsonl:

@@ -116,14 +116,15 @@ def _migration_rows(counts: np.ndarray, switch_matrices: np.ndarray
     """The multinomial rows of one round: ``(rows_r, rows_p, probabilities)``
     for every occupied (replica, origin) row with positive leave
     probability, replica-major and origin-minor, each row
-    ``(switch_matrices[r, P, :], stay)`` normalised on its own."""
+    ``(switch_matrices[r, P, :], stay)`` normalised on its own.  A replica
+    with no row cannot move this round: it is quiescent."""
     num_strategies = counts.shape[1]
     leave = switch_matrices.sum(axis=2)  # (R, S) total leave probability
     rows_r, rows_p = np.nonzero((counts > 0) & (leave > 0.0))
     probabilities = np.empty((rows_r.size, num_strategies + 1))
     probabilities[:, :num_strategies] = switch_matrices[rows_r, rows_p]
-    probabilities[:, num_strategies] = np.maximum(0.0, 1.0 - leave[rows_r, rows_p])
-    # Guard against tiny negative values / rounding drift.
+    probabilities[:, num_strategies] = 1.0 - leave[rows_r, rows_p]
+    # Guard against tiny negative values / rounding drift (stay column too).
     np.clip(probabilities, 0.0, None, out=probabilities)
     probabilities /= probabilities.sum(axis=1, keepdims=True)
     return rows_r, rows_p, probabilities
@@ -189,15 +190,28 @@ def sample_migration_matrices_from_streams(
     shared across the batch.
     """
     counts = _as_batch(counts)
+    if len(streams) != counts.shape[0]:
+        # a replica without a stream would keep uninitialised draws
+        raise ValueError(f"{len(streams)} streams for {counts.shape[0]} replicas")
     rows_r, rows_p, probabilities = _migration_rows(counts, switch_matrices)
-    totals = counts[rows_r, rows_p]
-    bounds = np.searchsorted(rows_r, np.arange(counts.shape[0] + 1))
-    draws = np.empty((rows_r.size, counts.shape[1] + 1), dtype=np.int64)
+    draws = _draw_from_streams(counts[rows_r, rows_p], rows_r, probabilities,
+                               streams)
+    return _scatter_draws(counts.shape, rows_r, rows_p, draws)
+
+
+def _draw_from_streams(totals: np.ndarray, rows_r: np.ndarray,
+                       probabilities: np.ndarray,
+                       streams: Sequence[np.random.Generator]) -> np.ndarray:
+    """The multinomial draws of :func:`_migration_rows`' rows where the rows
+    of replica ``r`` (a contiguous block, rows being replica-major) come
+    from ``streams[r]``, in row order."""
+    bounds = np.searchsorted(rows_r, np.arange(len(streams) + 1))
+    draws = np.empty(probabilities.shape, dtype=np.int64)
     for replica, stream in enumerate(streams):
         lo, hi = bounds[replica], bounds[replica + 1]
         if hi > lo:
             draws[lo:hi] = stream.multinomial(totals[lo:hi], probabilities[lo:hi])
-    return _scatter_draws(counts.shape, rows_r, rows_p, draws)
+    return draws
 
 
 def sample_migration_matrix(

@@ -11,12 +11,13 @@ replicas together:
 * protocols produce an ``(R, S, S)`` stack of switch matrices in one
   broadcasted evaluation (:meth:`~repro.core.protocols.Protocol.switch_probabilities_batch`),
 * the migration step draws **one** stacked multinomial over all occupied
-  (replica, origin) rows (:func:`sample_migration_matrices`) — this is still
-  the *exact* finite-population simulation, because players revise
-  independently across replicas as well as within them,
-* replicas that hit their stop condition or become quiescent are retired
-  from the active set, so a finished replica costs nothing while its slower
-  siblings keep running.
+  (replica, origin) rows — the rows of :func:`sample_migration_matrices`,
+  applied to the counts in one scatter — which is still the *exact*
+  finite-population simulation, because players revise independently
+  across replicas as well as within them,
+* replicas that hit their stop condition or become quiescent (no row to
+  draw) are retired from the compacted live set, so a finished replica
+  costs nothing while its slower siblings keep running.
 
 Reproducibility: the ensemble consumes a *single* generator in (replica,
 origin) row order, so for ``R = 1`` it consumes the stream exactly like
@@ -37,6 +38,8 @@ while the protocol evaluation stays batched.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -51,17 +54,19 @@ from .dynamics import (
     StopCondition,
     StopReason,
     TrajectoryResult,
+    _draw_from_streams,
+    _migration_rows,
     sample_migration_matrices,
-    sample_migration_matrices_from_streams,
 )
-from .protocols import Protocol, quiescent_mask
+from .protocols import Protocol
 
 #: A batched stopping condition receives ``(game, counts_rs, round_index)``
-#: for the *active* replicas and returns a boolean mask of shape ``(R,)``
+#: for the *live* replicas and returns a boolean mask of shape ``(R,)``
 #: marking the replicas that should stop before executing that round.  A
 #: condition tagged ``reads_evaluation = True`` (the built-in ones) receives
 #: the round's :class:`~repro.games.evaluation.BatchEvaluation` instead of
-#: the counts, so it shares the latencies the protocol reads next.
+#: the counts, so it shares the latencies the protocol reads next.  The
+#: engine updates those counts in place after the draw: copy to keep them.
 BatchStopCondition = Callable[[CongestionGame, np.ndarray, int], np.ndarray]
 
 
@@ -298,10 +303,18 @@ def batch_stop_at_approx_equilibrium(delta: float, epsilon: float,
     return batched
 
 
+@functools.lru_cache(maxsize=32)
+def _off_diagonal(num_strategies: int) -> np.ndarray:
+    """The read-only ``(S, S)`` mask ``P != Q``."""
+    mask = ~np.eye(num_strategies, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _occupied_off_diagonal(counts: np.ndarray) -> np.ndarray:
     """``(R, S, S)`` mask of origin/destination pairs ``P != Q`` with ``P``
     occupied."""
-    return (counts > 0)[:, :, np.newaxis] & ~np.eye(counts.shape[1], dtype=bool)
+    return (counts > 0)[:, :, np.newaxis] & _off_diagonal(counts.shape[1])
 
 
 def batch_stop_at_imitation_stable(nu: Optional[float] = None) -> BatchStopCondition:
@@ -340,6 +353,63 @@ def batch_stop_at_nash(tolerance: float = 1e-9) -> BatchStopCondition:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+
+class _Ledger:
+    """Per-replica state of one :meth:`EnsembleDynamics.run`.
+
+    The live replicas are kept compacted: ``live`` holds their indices into
+    the ensemble and ``counts``, ``moves`` and ``streams`` their rows, so a
+    round touches only them.  The ensemble's full ``(R, S)`` counts, rounds,
+    migration totals and stop reasons are written when replicas retire, and
+    the full counts by :meth:`write_back` whenever a caller must see them.
+    """
+
+    def __init__(self, counts: np.ndarray,
+                 streams: Optional[Sequence[np.random.Generator]]):
+        replicas = counts.shape[0]
+        self.full_counts = counts
+        self.rounds = np.zeros(replicas, dtype=np.int64)
+        self.total_migrations = np.zeros(replicas, dtype=np.int64)
+        self.reasons: list[StopReason] = [StopReason.MAX_ROUNDS] * replicas
+        self.live = np.arange(replicas)
+        self.counts = counts.copy()
+        self.moves = np.zeros(replicas, dtype=np.int64)
+        self.streams = None if streams is None else list(streams)
+
+    def apply(self, rows_r: np.ndarray, rows_p: np.ndarray,
+              draws: np.ndarray) -> np.ndarray:
+        """Move the players of :func:`_migration_rows`' rows (indexing the
+        live replicas) by their multinomial ``draws``: one scatter into the
+        live counts, one into the migration totals.  Returns the number of
+        players leaving each row's origin."""
+        moved = draws[:, :-1]
+        rows = np.arange(rows_r.size)
+        moved[rows, rows_p] = 0  # a player "moving" P -> P stays
+        leaving = moved.sum(axis=1)
+        moved[rows, rows_p] = -leaving
+        np.add.at(self.counts, rows_r, moved)
+        np.add.at(self.moves, rows_r, leaving)
+        return leaving
+
+    def write_back(self) -> None:
+        """Copy the live rows into the full counts."""
+        self.full_counts[self.live] = self.counts
+
+    def retire(self, mask: np.ndarray, reason: StopReason, rounds: int) -> None:
+        """Retire the live replicas ``mask`` after ``rounds`` executed rounds."""
+        gone = self.live[mask]
+        self.full_counts[gone] = self.counts[mask]
+        self.rounds[gone] = rounds
+        self.total_migrations[gone] = self.moves[mask]
+        for replica in gone.tolist():
+            self.reasons[replica] = reason
+        keep = ~mask
+        self.live = self.live[keep]
+        self.counts = self.counts[keep]
+        self.moves = self.moves[keep]
+        if self.streams is not None:
+            self.streams = list(itertools.compress(self.streams, keep))
+
 
 class EnsembleDynamics:
     """Concurrent dynamics of ``R`` independent replicas, advanced together.
@@ -498,89 +568,84 @@ class EnsembleDynamics:
                 f"{num_replicas} replicas"
             )
 
-        rounds = np.zeros(num_replicas, dtype=np.int64)
-        total_migrations = np.zeros(num_replicas, dtype=np.int64)
-        reasons: list[StopReason] = [StopReason.MAX_ROUNDS] * num_replicas
-        active = np.ones(num_replicas, dtype=bool)
-
+        ledger = _Ledger(counts, rng_streams)
         if collector is not None:
             collector.record(0, counts)
         if trace is not None:
             trace.run_started(self.game, engine="batch",
                               replicas=num_replicas, max_rounds=max_rounds)
+        watched = observer is not None or trace is not None or collector is not None
 
         last_recorded = 0
         for round_index in range(max_rounds):
-            if not active.any():
+            if not ledger.live.size:
                 break
-            indices = np.nonzero(active)[0]
             # One evaluation per round, shared by the stop condition and the
             # protocol; counts were validated at entry and the engine keeps
             # them valid, so the round trusts them.
-            evaluation = BatchEvaluation(self.game, counts[indices])
+            evaluation = BatchEvaluation(self.game, ledger.counts)
 
             if stop_condition is not None:
                 stopped = np.asarray(stop_condition(
                     self.game, _stop_input(stop_condition, evaluation), round_index))
                 if stopped.any():
-                    for replica in indices[stopped]:
-                        reasons[replica] = StopReason.STOP_CONDITION
-                    active[indices[stopped]] = False
-                    indices = indices[~stopped]
-                    if indices.size == 0:
-                        continue
+                    ledger.retire(stopped, StopReason.STOP_CONDITION, round_index)
+                    if not ledger.live.size:
+                        break
                     evaluation = evaluation.select(~stopped)
 
             matrices = self.protocol.switch_probabilities_batch(self.game, evaluation)
+            rows_r, rows_p, probabilities = _migration_rows(ledger.counts, matrices)
             if stop_when_quiescent:
-                quiet = quiescent_mask(matrices, counts[indices])
-                if quiet.any():
-                    for replica in indices[quiet]:
-                        reasons[replica] = StopReason.QUIESCENT
-                    active[indices[quiet]] = False
-                    indices = indices[~quiet]
-                    matrices = matrices[~quiet]
-                    if indices.size == 0:
-                        continue
+                moving = np.zeros(ledger.live.size, dtype=bool)
+                moving[rows_r] = True
+                if not moving.all():
+                    ledger.retire(~moving, StopReason.QUIESCENT, round_index)
+                    if not ledger.live.size:
+                        break
+                    rows_r = (np.cumsum(moving) - 1)[rows_r]
 
-            if rng_streams is None:
-                migration = sample_migration_matrices(counts[indices], matrices, self.rng)
+            totals = ledger.counts[rows_r, rows_p]
+            if ledger.streams is not None:
+                draws = _draw_from_streams(totals, rows_r, probabilities,
+                                           ledger.streams)
+            elif rows_r.size:
+                draws = self.rng.multinomial(totals, probabilities)
             else:
-                migration = sample_migration_matrices_from_streams(
-                    counts[indices], matrices, [rng_streams[r] for r in indices])
-            delta = migration.sum(axis=1) - migration.sum(axis=2)
-            counts[indices] += delta
-            rounds[indices] = round_index + 1
-            moves = migration.sum(axis=(1, 2))
-            total_migrations[indices] += moves
+                draws = np.zeros(probabilities.shape, dtype=np.int64)
+            leaving = ledger.apply(rows_r, rows_p, draws)
 
-            if observer is not None:
-                observer(self.game, counts, indices, round_index + 1)
-            if trace is not None:
-                trace.round_completed(self.game, counts, indices,
-                                      round_index + 1, int(moves.sum()))
-            if collector is not None and collector.should_record(round_index + 1):
-                all_moves = np.zeros(num_replicas, dtype=np.int64)
-                all_moves[indices] = moves
-                collector.record(round_index + 1, counts, migrations=all_moves)
-                last_recorded = round_index + 1
+            if watched:
+                executed = round_index + 1
+                ledger.write_back()
+                if observer is not None:
+                    observer(self.game, counts, ledger.live, executed)
+                if trace is not None:
+                    trace.round_completed(self.game, counts, ledger.live,
+                                          executed, int(leaving.sum()))
+                if collector is not None and collector.should_record(executed):
+                    moves = np.zeros(num_replicas, dtype=np.int64)
+                    np.add.at(moves, ledger.live[rows_r], leaving)
+                    collector.record(executed, counts, migrations=moves)
+                    last_recorded = executed
         else:
             # Budget exhausted with replicas still live: give the stop
             # condition one final look (mirrors the loop engine).
-            indices = np.nonzero(active)[0]
-            if indices.size and stop_condition is not None:
-                evaluation = BatchEvaluation(self.game, counts[indices])
+            if ledger.live.size and stop_condition is not None:
+                evaluation = BatchEvaluation(self.game, ledger.counts)
                 stopped = np.asarray(stop_condition(
                     self.game, _stop_input(stop_condition, evaluation), max_rounds))
-                for replica in indices[stopped]:
-                    reasons[replica] = StopReason.STOP_CONDITION
-                indices = indices[~stopped]
-            if indices.size and strict:
+                ledger.retire(stopped, StopReason.STOP_CONDITION, max_rounds)
+            if ledger.live.size and strict:
                 raise ConvergenceError(
-                    f"{indices.size} of {num_replicas} replicas did not stop "
+                    f"{ledger.live.size} of {num_replicas} replicas did not stop "
                     f"within {max_rounds} rounds"
                 )
+            ledger.retire(np.ones(ledger.live.size, dtype=bool),
+                          StopReason.MAX_ROUNDS, max_rounds)
 
+        rounds, total_migrations, reasons = (
+            ledger.rounds, ledger.total_migrations, ledger.reasons)
         max_executed = int(rounds.max()) if num_replicas else 0
         if collector is not None and last_recorded != max_executed:
             collector.record(max_executed, counts)

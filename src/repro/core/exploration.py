@@ -96,7 +96,7 @@ class ExplorationProtocol(Protocol):
         the diagonal."""
         mu = zero_diagonal(np.where(gains > self.min_gain,
                                     self.damping_factor(game) * relative, 0.0))
-        return np.clip(mu, 0.0, 1.0)
+        return np.clip(mu, 0.0, 1.0, out=mu)
 
     def migration_probabilities(self, game: CongestionGame, state: StateLike) -> np.ndarray:
         """The matrix ``mu_PQ`` (conditional on sampling strategy ``Q``)."""

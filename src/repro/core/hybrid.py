@@ -75,16 +75,15 @@ class MixtureProtocol(Protocol):
     def switch_probabilities_batch(self, game: CongestionGame,
                                    batch: BatchStateLike) -> np.ndarray:
         """The mixture of batched switch matrices is the weighted sum of the
-        components' batched matrices (same argument as the scalar case)."""
+        components' batched matrices (same argument as the scalar case),
+        accumulated into the first weighted matrix."""
         evaluation = game.batch_evaluation(batch)
-        matrices = np.zeros(
-            (evaluation.num_replicas, game.num_strategies, game.num_strategies)
-        )
-        for weight, component in zip(self.weights, self.components):
-            if weight == 0.0:
-                continue
-            matrices += weight * component.switch_probabilities_batch(game, evaluation)
-        return matrices
+        first, *rest = [weight * component.switch_probabilities_batch(game, evaluation)
+                        for weight, component in zip(self.weights, self.components)
+                        if weight != 0.0]
+        for weighted in rest:
+            first += weighted
+        return first
 
     def kernel_components(self, game: CongestionGame):
         """Concatenation of the components' lowered structs with the mixture

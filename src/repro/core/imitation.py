@@ -113,7 +113,7 @@ class ImitationProtocol(Protocol):
         nu = self.effective_nu(game)
         d = self.effective_elasticity(game)
         mu = zero_diagonal(np.where(gains > nu, (self.lambda_ / d) * relative, 0.0))
-        return np.clip(mu, 0.0, 1.0)
+        return np.clip(mu, 0.0, 1.0, out=mu)
 
     def sampling_distribution(self, game: CongestionGame,
                               counts: np.ndarray) -> np.ndarray:

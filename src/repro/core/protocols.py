@@ -219,8 +219,7 @@ def gain_matrices(game: CongestionGame, counts: np.ndarray
 
 def zero_diagonal(matrices: np.ndarray) -> np.ndarray:
     """Zero the diagonal of every matrix in an ``(R, S, S)`` stack, in place."""
-    diag = np.arange(matrices.shape[-1])
-    matrices[..., diag, diag] = 0.0
+    np.einsum("...ii->...i", matrices)[...] = 0.0
     return matrices
 
 

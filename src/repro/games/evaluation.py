@@ -24,8 +24,6 @@ stop check) without evaluating anything again.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 __all__ = ["BatchEvaluation", "relative_gains"]
@@ -40,6 +38,26 @@ def relative_gains(latencies: np.ndarray, gains: np.ndarray) -> np.ndarray:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+class _cached:
+    """A read-only array attribute computed on first access and then stored
+    in the instance, which shadows this non-data descriptor.  Unlike
+    :func:`functools.cached_property` on Python 3.11 it takes no lock: an
+    evaluation belongs to one round of one engine."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = _frozen(self.compute(instance))
+        return value
 
 
 class BatchEvaluation:
@@ -57,37 +75,37 @@ class BatchEvaluation:
     def num_replicas(self) -> int:
         return self.counts.shape[0]
 
-    @cached_property
+    @_cached
     def loads(self) -> np.ndarray:
-        return _frozen(self.game.congestion_batch(self))
+        return self.game.congestion_batch(self)
 
-    @cached_property
+    @_cached
     def latency_now(self) -> np.ndarray:
-        return _frozen(self.game.resource_latencies_batch(self.loads))
+        return self.game.resource_latencies_batch(self.loads)
 
-    @cached_property
+    @_cached
     def latency_plus(self) -> np.ndarray:
-        return _frozen(self.game.resource_latencies_batch(self.loads + 1.0))
+        return self.game.resource_latencies_batch(self.loads + 1.0)
 
-    @cached_property
+    @_cached
     def strategy_latencies(self) -> np.ndarray:
-        return _frozen(self.game.strategy_latencies_batch(self))
+        return self.game.strategy_latencies_batch(self)
 
-    @cached_property
+    @_cached
     def strategy_latencies_plus(self) -> np.ndarray:
-        return _frozen(self.game.strategy_latencies_after_join_batch(self))
+        return self.game.strategy_latencies_after_join_batch(self)
 
-    @cached_property
+    @_cached
     def post_migration(self) -> np.ndarray:
-        return _frozen(self.game.post_migration_latency_matrix_batch(self))
+        return self.game.post_migration_latency_matrix_batch(self)
 
-    @cached_property
+    @_cached
     def gains(self) -> np.ndarray:
-        return _frozen(self.strategy_latencies[:, :, np.newaxis] - self.post_migration)
+        return self.strategy_latencies[:, :, np.newaxis] - self.post_migration
 
-    @cached_property
+    @_cached
     def relative_gains(self) -> np.ndarray:
-        return _frozen(relative_gains(self.strategy_latencies, self.gains))
+        return relative_gains(self.strategy_latencies, self.gains)
 
     def select(self, rows: np.ndarray) -> "BatchEvaluation":
         """The evaluation of the replicas ``rows`` (a mask or indices),

@@ -17,13 +17,15 @@ marginal costs, i.e. convex total-latency links such as linear ones).
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import GameDefinitionError
 from .base import CongestionGame
+from .evaluation import BatchEvaluation
 from .latency import LatencyFunction, LinearLatency, scale_to_population
+from .state import BatchStateLike
 
 __all__ = ["SingletonCongestionGame", "make_linear_singleton", "make_scaled_singleton"]
 
@@ -50,6 +52,37 @@ class SingletonCongestionGame(CongestionGame):
             name=name,
             validate=validate,
         )
+
+    # ------------------------------------------------------------------
+    # Batched evaluation: strategy P is resource P, so the incidence
+    # products of the base class are identities and are skipped.  Each
+    # product has one non-zero term per entry, so the base class computes
+    # the same floats.
+    # ------------------------------------------------------------------
+    def congestion_batch(self, batch: Union[BatchStateLike, BatchEvaluation]
+                         ) -> np.ndarray:
+        return self._evaluation(batch).counts.astype(float)
+
+    def strategy_latencies_batch(self, batch: Union[BatchStateLike, BatchEvaluation]
+                                 ) -> np.ndarray:
+        return self._evaluation(batch).latency_now.copy()
+
+    def strategy_latencies_after_join_batch(
+            self, batch: Union[BatchStateLike, BatchEvaluation]) -> np.ndarray:
+        return self._evaluation(batch).latency_plus.copy()
+
+    def post_migration_latency_matrix_batch(
+            self, batch: Union[BatchStateLike, BatchEvaluation]) -> np.ndarray:
+        """``M[r, P, Q] = l_Q(x_r + 1)`` off the diagonal and
+        ``l⁺ - (l⁺ - l)`` on it, the overlap correction of the base class."""
+        evaluation = self._evaluation(batch)
+        latency_plus = evaluation.latency_plus
+        replicas, links = latency_plus.shape
+        matrix = np.empty((replicas, links, links))
+        matrix[...] = latency_plus[:, np.newaxis, :]
+        diagonal = np.einsum("...ii->...i", matrix)  # a writable view
+        diagonal -= latency_plus - evaluation.latency_now
+        return matrix
 
     # ------------------------------------------------------------------
     # Linear-latency analytics (paper Section 5.1)

@@ -13,37 +13,36 @@ stable API, the grid behind it may grow with the experiment it mirrors.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import importlib
+from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ReproError
-from .experiments.exp_eps_delta_sweep import eps_delta_grid_spec
-from .experiments.exp_error_terms import error_terms_spec
-from .experiments.exp_logn_scaling import logn_scaling_spec
-from .experiments.exp_network_scaling import network_scaling_spec
-from .experiments.exp_overshooting import overshoot_spec
-from .experiments.exp_protocol_comparison import protocol_comparison_spec
-from .experiments.exp_virtual_agents import virtual_agents_spec
-from .sweeps import SweepSpec
+
+if TYPE_CHECKING:
+    from .sweeps import SweepSpec
 
 __all__ = ["SWEEP_PRESETS", "get_sweep_preset", "list_sweep_presets",
            "preset_summaries"]
 
-#: name -> (spec factory, one-line description).  The descriptions feed the
-#: CLI epilog, ``python -m repro info`` and the service's ``GET /v1/presets``.
-SWEEP_PRESETS: dict[str, tuple[Callable[..., SweepSpec], str]] = {
-    "logn": (logn_scaling_spec,
+#: name -> (experiment module, spec factory, one-line description).  The
+#: factory is imported when its preset is resolved, so listing the names
+#: (the CLI's ``--preset`` choices) imports no experiment.  The descriptions
+#: feed the CLI epilog, ``python -m repro info`` and the service's
+#: ``GET /v1/presets``.
+SWEEP_PRESETS: dict[str, tuple[str, str, str]] = {
+    "logn": ("exp_logn_scaling", "logn_scaling_spec",
              "E2 hitting-time grid over the player count n (Theorem 7)"),
-    "eps-delta": (eps_delta_grid_spec,
+    "eps-delta": ("exp_eps_delta_sweep", "eps_delta_grid_spec",
                   "E3 hitting-time grid over (epsilon, delta)"),
-    "overshoot": (overshoot_spec,
+    "overshoot": ("exp_overshooting", "overshoot_spec",
                   "E5 one-round overshoot ratios on the two-link game"),
-    "protocol-work": (protocol_comparison_spec,
+    "protocol-work": ("exp_protocol_comparison", "protocol_comparison_spec",
                       "E11 concurrent-vs-sequential dynamics work"),
-    "virtual-agents": (virtual_agents_spec,
+    "virtual-agents": ("exp_virtual_agents", "virtual_agents_spec",
                        "E13 innovativeness recovery via virtual agents"),
-    "error-terms": (error_terms_spec,
+    "error-terms": ("exp_error_terms", "error_terms_spec",
                     "F1 Lemma 1/2 error-term ratios"),
-    "network-scaling": (network_scaling_spec,
+    "network-scaling": ("exp_network_scaling", "network_scaling_spec",
                         "E14 layered-DAG routing with sampled path sets"),
 }
 
@@ -63,7 +62,9 @@ def get_sweep_preset(name: str, *, quick: bool = True,
     if name not in SWEEP_PRESETS:
         raise ReproError(f"unknown sweep preset {name!r}; "
                          f"known: {list_sweep_presets()}")
-    factory = SWEEP_PRESETS[name][0]
+    module, function, _ = SWEEP_PRESETS[name]
+    factory = getattr(
+        importlib.import_module(f"{__package__}.experiments.{module}"), function)
     kwargs: dict[str, Any] = {"quick": quick}
     if seed is not None:
         kwargs["seed"] = seed
@@ -81,7 +82,7 @@ def preset_summaries(*, quick: bool = True) -> list[dict[str, Any]]:
         spec = get_sweep_preset(name, quick=quick)
         summaries.append({
             "name": name,
-            "description": SWEEP_PRESETS[name][1],
+            "description": SWEEP_PRESETS[name][2],
             "sweep_name": spec.name,
             "game": spec.game,
             "protocol": spec.protocol,

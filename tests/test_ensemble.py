@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.convergence import measure_imitation_stable_times
-from repro.core.dynamics import ConcurrentDynamics, StopReason, sample_migration_matrix
+from repro.core.dynamics import (
+    ConcurrentDynamics,
+    StopReason,
+    sample_migration_matrices_from_streams,
+    sample_migration_matrix,
+)
 from repro.core.ensemble import (
     EnsembleCollector,
     EnsembleDynamics,
@@ -18,11 +23,16 @@ from repro.core.ensemble import (
     simulate_ensemble,
 )
 from repro.core.exploration import ExplorationProtocol
+from repro.core.hybrid import make_hybrid_protocol
 from repro.core.imitation import ImitationProtocol
+from repro.core.protocols import quiescent_mask
 from repro.core.stability import is_approx_equilibrium, is_imitation_stable
 from repro.errors import ConvergenceError, MetricError, StateError
+from repro.games.evaluation import BatchEvaluation
 from repro.games.generators import random_linear_singleton, random_monomial_singleton
 from repro.games.nash import is_nash
+from repro.games.network import braess_network_game
+from repro.games.singleton import make_linear_singleton
 from repro.games.state import (
     BatchGameState,
     GameState,
@@ -31,6 +41,7 @@ from repro.games.state import (
     batch_from_states,
     batch_uniform_random_counts,
 )
+from repro.rng import spawn_rngs
 
 
 class TestBatchGameState:
@@ -302,3 +313,192 @@ class TestPerReplicaStreams:
         dynamics = EnsembleDynamics(game, ImitationProtocol(), rng=0)
         with pytest.raises(ValueError, match="rng_streams"):
             dynamics.run(starts, rng_streams=spawn_rngs(0, 2))
+        # the sampler itself: a replica without a stream would otherwise
+        # get uninitialised memory as its migration counts
+        matrices = ImitationProtocol().switch_probabilities_batch(game, starts)
+        with pytest.raises(ValueError, match="2 streams for 3 replicas"):
+            sample_migration_matrices_from_streams(starts, matrices, spawn_rngs(0, 2))
+
+
+def reference_run(game, protocol, start, *, rng=None, rng_streams=None,
+                  max_rounds=10_000, stop_condition=None,
+                  stop_when_quiescent=True, observer=None, collector=None):
+    """The batch engine's round loop written from public pieces: a full
+    ``(R, S)`` counts matrix with an active mask, one
+    :class:`BatchEvaluation` per round, :func:`quiescent_mask` for
+    quiescence and the public samplers for the draw."""
+    counts = game.validate_batch_state(start).copy()
+    num_replicas = counts.shape[0]
+    rounds = np.zeros(num_replicas, dtype=np.int64)
+    total_migrations = np.zeros(num_replicas, dtype=np.int64)
+    reasons = [StopReason.MAX_ROUNDS] * num_replicas
+    active = np.ones(num_replicas, dtype=bool)
+
+    def stop_check(evaluation, round_index):
+        reads = getattr(stop_condition, "reads_evaluation", False)
+        return np.asarray(stop_condition(
+            game, evaluation if reads else evaluation.counts, round_index))
+
+    if collector is not None:
+        collector.record(0, counts)
+    last_recorded = 0
+    for round_index in range(max_rounds):
+        if not active.any():
+            break
+        indices = np.nonzero(active)[0]
+        evaluation = BatchEvaluation(game, counts[indices])
+        if stop_condition is not None:
+            stopped = stop_check(evaluation, round_index)
+            for replica in indices[stopped]:
+                reasons[replica] = StopReason.STOP_CONDITION
+            active[indices[stopped]] = False
+            indices = indices[~stopped]
+            if indices.size == 0:
+                continue
+            evaluation = evaluation.select(~stopped)
+        matrices = protocol.switch_probabilities_batch(game, evaluation)
+        if stop_when_quiescent:
+            quiet = quiescent_mask(matrices, counts[indices])
+            for replica in indices[quiet]:
+                reasons[replica] = StopReason.QUIESCENT
+            active[indices[quiet]] = False
+            indices = indices[~quiet]
+            matrices = matrices[~quiet]
+            if indices.size == 0:
+                continue
+        if rng_streams is None:
+            migration = sample_migration_matrices(counts[indices], matrices, rng)
+        else:
+            migration = sample_migration_matrices_from_streams(
+                counts[indices], matrices, [rng_streams[r] for r in indices])
+        counts[indices] += migration.sum(axis=1) - migration.sum(axis=2)
+        rounds[indices] = round_index + 1
+        moves = migration.sum(axis=(1, 2))
+        total_migrations[indices] += moves
+        if observer is not None:
+            observer(game, counts, indices, round_index + 1)
+        if collector is not None and collector.should_record(round_index + 1):
+            all_moves = np.zeros(num_replicas, dtype=np.int64)
+            all_moves[indices] = moves
+            collector.record(round_index + 1, counts, migrations=all_moves)
+            last_recorded = round_index + 1
+    else:
+        indices = np.nonzero(active)[0]
+        if indices.size and stop_condition is not None:
+            evaluation = BatchEvaluation(game, counts[indices])
+            for replica in indices[stop_check(evaluation, max_rounds)]:
+                reasons[replica] = StopReason.STOP_CONDITION
+    if collector is not None and last_recorded != rounds.max():
+        collector.record(int(rounds.max()), counts)
+    return counts, rounds, reasons, total_migrations
+
+
+class TestEngineEqualsReferenceRound:
+    """``EnsembleDynamics.run`` equals :func:`reference_run` bit for bit in
+    final states, rounds, stop reasons and migration totals.  Both sides run
+    in this process on generators with the same seed, so the check holds
+    whatever numpy's streams are."""
+
+    @staticmethod
+    def assert_same(game, protocol, start, seed, *, streams=0, **kwargs):
+        """Run both sides on generators seeded with ``seed``: the shared
+        one, or with ``streams > 0`` one per replica."""
+        def randomness():
+            if streams:
+                return {"rng_streams": spawn_rngs(seed, streams)}
+            return {"rng": np.random.default_rng(seed)}
+
+        engine_randomness = randomness()
+        engine = EnsembleDynamics(
+            game, protocol, rng=engine_randomness.pop("rng", None)).run(
+            start, **engine_randomness, **kwargs)
+        counts, rounds, reasons, moves = reference_run(
+            game, protocol, start, **randomness(), **kwargs)
+        np.testing.assert_array_equal(engine.final_states.counts, counts)
+        np.testing.assert_array_equal(engine.rounds, rounds)
+        assert engine.stop_reasons == reasons
+        np.testing.assert_array_equal(engine.total_migrations, moves)
+        return engine
+
+    def test_singleton_nash_hybrid(self):
+        game = make_linear_singleton(40, (1.0, 2.0, 4.0, 8.0))
+        start = batch_broadcast(GameState(np.array([0, 0, 0, 40])), 16)
+        for seed in range(3):
+            result = self.assert_same(
+                game, make_hybrid_protocol(use_nu_threshold=False), start, seed,
+                max_rounds=30_000, stop_condition=batch_stop_at_nash())
+            assert set(result.stop_reasons) == {StopReason.STOP_CONDITION}
+
+    def test_quiescent_and_stopped_replicas_retire_in_the_same_round(self):
+        game = random_linear_singleton(60, 5, rng=2)
+        stacked = np.concatenate([
+            batch_broadcast(GameState(np.array([60, 0, 0, 0, 0])), 2).counts,
+            batch_broadcast(GameState(np.array([0, 60, 0, 0, 0])), 2).counts,
+            game.uniform_random_batch_state(12, rng=9).counts,
+        ])
+
+        def everyone_on_link_0(game, counts, round_index):
+            return counts[:, 0] == game.num_players
+
+        result = self.assert_same(game, ImitationProtocol(), stacked, 5,
+                                  max_rounds=2_000,
+                                  stop_condition=everyone_on_link_0)
+        assert result.stop_reasons[:4] == [StopReason.STOP_CONDITION] * 2 \
+            + [StopReason.QUIESCENT] * 2
+        assert result.rounds[:4].tolist() == [0, 0, 0, 0]
+        assert result.rounds[4:].max() > 0
+
+    def test_braess_network_game(self):
+        game = braess_network_game(30)
+        start = game.uniform_random_batch_state(8, rng=3)
+        for stop in (batch_stop_at_imitation_stable(), None):
+            self.assert_same(game, make_hybrid_protocol(), start, 4,
+                             max_rounds=200, stop_condition=stop)
+
+    def test_rng_streams(self):
+        game = random_linear_singleton(80, 4, rng=1)
+        start = game.uniform_random_batch_state(6, rng=2)
+        self.assert_same(game, ImitationProtocol(), start, 7, streams=6,
+                         max_rounds=500,
+                         stop_condition=batch_stop_at_approx_equilibrium(0.05, 0.05))
+
+    def test_observer_and_collector_see_the_full_matrix(self):
+        game = random_linear_singleton(50, 4, rng=6)
+        start = game.uniform_random_batch_state(10, rng=8)
+        stop = batch_stop_at_approx_equilibrium(0.1, 0.1)
+        sides = {}
+        for side in ("engine", "reference"):
+            seen = []
+
+            def observer(game, counts, indices, round_index, seen=seen):
+                assert counts.shape == (10, 4)
+                seen.append((counts.copy(), indices.copy(), round_index))
+
+            collector = EnsembleCollector(game, every=3)
+            kwargs = dict(max_rounds=400, stop_condition=stop,
+                          observer=observer, collector=collector)
+            if side == "engine":
+                result = EnsembleDynamics(game, ExplorationProtocol(),
+                                          rng=np.random.default_rng(12)).run(
+                    start, **kwargs)
+                final = result.final_states.counts
+            else:
+                final = reference_run(game, ExplorationProtocol(), start,
+                                      rng=np.random.default_rng(12), **kwargs)[0]
+            sides[side] = (seen, collector, final)
+        (seen, collector, final), (ref_seen, ref_collector, ref_final) = \
+            sides["engine"], sides["reference"]
+        np.testing.assert_array_equal(final, ref_final)
+        assert len(seen) == len(ref_seen) > 1
+        for (counts, indices, round_index), (ref_counts, ref_indices, ref_round) \
+                in zip(seen, ref_seen):
+            np.testing.assert_array_equal(counts, ref_counts)
+            np.testing.assert_array_equal(indices, ref_indices)
+            assert round_index == ref_round
+            # a replica missing from the round's indices has retired: its
+            # row is already its final state
+            retired = np.setdiff1d(np.arange(10), indices)
+            np.testing.assert_array_equal(counts[retired], final[retired])
+        assert collector.rounds == ref_collector.rounds
+        for name, trace in collector.traces().items():
+            np.testing.assert_array_equal(trace, ref_collector.trace(name))

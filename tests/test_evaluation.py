@@ -91,6 +91,45 @@ def test_evaluator_equals_value_for_every_latency_class(latencies, num_players):
         np.testing.assert_array_equal(game.resource_latencies(grid[load]), expected[load])
 
 
+SINGLETON_OVERRIDES = ("congestion_batch", "strategy_latencies_batch",
+                       "strategy_latencies_after_join_batch",
+                       "post_migration_latency_matrix_batch")
+
+
+def assert_singleton_overrides_equal_incidence_path(game, counts):
+    for name in SINGLETON_OVERRIDES:
+        assert name in vars(SingletonCongestionGame), name
+        np.testing.assert_array_equal(getattr(game, name)(counts),
+                                      getattr(CongestionGame, name)(game, counts))
+
+
+@SETTINGS
+@given(latencies=latency_functions(), num_players=players,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_singleton_overrides_equal_incidence_path(latencies, num_players, seed):
+    """Strategy P is resource P: the singleton game's batch methods skip the
+    incidence products and must give the base class's floats exactly, for
+    every latency class (Horner-evaluated, value-evaluated and zero)."""
+    game = SingletonCongestionGame(num_players, latencies, validate=False)
+    counts = game.uniform_random_batch_state(6, rng=seed).counts
+    everyone_on_one = np.zeros_like(counts[:2])
+    everyone_on_one[:, 0] = num_players
+    assert_singleton_overrides_equal_incidence_path(
+        game, np.concatenate([counts, everyone_on_one]))
+
+
+def test_singleton_overrides_with_a_zero_latency_link():
+    latencies = [ZeroLatency(), LinearLatency(2.0, 1.0),
+                 MonomialLatency(0.3, 2.5), PolynomialLatency([1.0, 0.0, 0.5])]
+    game = SingletonCongestionGame(30, latencies, validate=False)
+    counts = game.uniform_random_batch_state(8, rng=4).counts
+    assert_singleton_overrides_equal_incidence_path(game, counts)
+    evaluation = game.batch_evaluation(counts)
+    np.testing.assert_array_equal(
+        np.diagonal(evaluation.post_migration, axis1=1, axis2=2),
+        evaluation.latency_plus - (evaluation.latency_plus - evaluation.latency_now))
+
+
 def test_monomials_stay_exact():
     # Horner would round a * x**2 as (a * x) * x: 456 of these 2,002 loads
     # differ in the last bit, so monomials are evaluated by value.
@@ -121,15 +160,18 @@ def test_horner_exact_classes_skip_value(monkeypatch):
 # One evaluation per round
 # ----------------------------------------------------------------------
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
+def _count_calls(monkeypatch, game: CongestionGame, name: str) -> list[int]:
+    """Count the calls of ``name`` on ``game``'s own class, which may
+    override the base class's method."""
     calls = [0]
-    original = getattr(CongestionGame, name)
+    cls = type(game)
+    original = getattr(cls, name)
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(CongestionGame, name, counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -152,16 +194,16 @@ def test_one_evaluation_per_round(monkeypatch, case):
         start = game.uniform_random_batch_state(16, rng=5)
         protocol = ImitationProtocol()
         stop = batch_stop_at_approx_equilibrium(0.02, 0.02)
-    post = _count_calls(monkeypatch, "post_migration_latency_matrix_batch")
-    validate = _count_calls(monkeypatch, "validate_batch_state")
+    post = _count_calls(monkeypatch, game, "post_migration_latency_matrix_batch")
+    validate = _count_calls(monkeypatch, game, "validate_batch_state")
     result = EnsembleDynamics(game, protocol, rng=7).run(
         start, max_rounds=5_000, stop_condition=stop)
     # Rounds the engine entered: every executed round plus the closing
     # stop check that retires the last replicas.
     entered = int(result.rounds.max()) + 1
     assert result.rounds.max() > 5
-    assert post[0] <= entered
-    assert validate[0] <= entered
+    assert 0 < post[0] <= entered
+    assert 0 < validate[0] <= entered
 
 
 @pytest.mark.parametrize("stop_factory", [

@@ -25,6 +25,14 @@ NOT_LOADED_BY_IMPORT_REPRO = (
     "repro.service", "repro.telemetry", "sqlite3",
 )
 
+#: Modules ``import repro.cli`` must not load: the command handlers import
+#: the experiments and the sweep layer (with its sqlite3 and
+#: multiprocessing) when a command needs them.
+NOT_LOADED_BY_IMPORT_CLI = (
+    "repro.experiments", "repro.sweeps", "repro.service", "sqlite3",
+    "multiprocessing",
+)
+
 WARM_REQUESTS_SCRIPT = r"""
 import json
 import sys
@@ -90,6 +98,21 @@ def test_import_repro_loads_neither_optional_dependencies_nor_upper_layers():
     assert "repro.core" in modules and "repro.analysis" in modules
     for package in NOT_LOADED_BY_IMPORT_REPRO:
         assert loaded(modules, package) == [], package
+
+
+def test_import_cli_loads_neither_experiments_nor_the_sweep_layer():
+    modules = modules_after("import repro.cli")
+    for package in NOT_LOADED_BY_IMPORT_CLI:
+        assert loaded(modules, package) == [], package
+
+
+def test_cli_help_and_preset_choices_load_no_experiment():
+    modules = modules_after(
+        "from repro.cli import build_parser\n"
+        "parser = build_parser()\n"
+        "args = parser.parse_args(['sweep', '--preset', 'logn'])\n"
+        "assert args.preset == 'logn'")
+    assert loaded(modules, "repro.experiments") == []
 
 
 def test_import_service_loads_numpy_ma_but_not_scipy_or_networkx():
