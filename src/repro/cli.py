@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -828,10 +829,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Library failures (:class:`~repro.errors.ReproError` — e.g. an unknown
     experiment identifier or an invalid sweep spec) are printed to stderr
-    and reported as exit status 1 instead of a traceback.
+    and reported as exit status 1 instead of a traceback.  So is a reader
+    that closes stdout early (``repro info | head -1``): the exit is quiet,
+    with status 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        status = _dispatch(parser, args)
+        # Flushed here, inside the guard: a closed pipe would otherwise
+        # surface in the interpreter's exit-time flush, past any handler.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so the
+        # exit-time flush cannot fail again, then exit non-zero.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> int:
+    """Run the command ``args`` names; its exit status."""
     try:
         if args.command == "list":
             return _command_list()

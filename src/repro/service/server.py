@@ -56,8 +56,9 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import ReproError
@@ -73,6 +74,34 @@ from .jobs import JobQueue, ShardBoard
 from .workers import WorkerPool
 
 __all__ = ["SweepService", "make_server", "run_service"]
+
+
+@dataclass(frozen=True)
+class _StoredView:
+    """One spec's committed rows as of one store token, parsed once.
+
+    Warm reads (rows, aggregate, a cached submit's point count) are served
+    from here; a view is replaced whole, never updated, when the store's
+    :meth:`~repro.sweeps.store.SweepStore.rows_version` moves.  Only the
+    aggregate answers fill in later, keyed by ``(by, value, stats)``.
+    """
+
+    token: Hashable
+    rows: tuple[dict[str, Any], ...]
+    lines: tuple[str, ...]
+    committed_points: int
+    aggregates: dict[tuple, list[dict[str, Any]]] = field(
+        default_factory=dict)
+
+    @classmethod
+    def build(cls, token: Hashable, loaded: list[dict[str, Any]],
+              spec: SweepSpec) -> _StoredView:
+        rows = tuple(sorted(loaded, key=lambda row: row["point_index"]))
+        committed = {row["point_key"] for row in rows}
+        return cls(token=token, rows=rows,
+                   lines=tuple(json.dumps(row) for row in rows),
+                   committed_points=sum(1 for point in spec.expand()
+                                        if point.key in committed))
 
 
 class SweepService:
@@ -125,6 +154,8 @@ class SweepService:
         #: rows/aggregate endpoints serve cached submissions that never
         #: created a job.  Store manifests cover everything older.
         self._specs: dict[str, SweepSpec] = {}
+        #: The last stored view of each spec read here, by content hash.
+        self._views: dict[str, _StoredView] = {}
         self.started_at = time.time()
 
     # ------------------------------------------------------------ lifecycle
@@ -152,7 +183,7 @@ class SweepService:
         spec, priority = resolve_spec(payload)
         spec_hash = spec.content_hash()
         self._specs[spec_hash] = spec
-        cached_points = self._committed_points(spec)
+        cached_points = self._view(spec, spec_hash).committed_points
         if cached_points == spec.num_points:
             return {
                 "spec_hash": spec_hash,
@@ -177,11 +208,6 @@ class SweepService:
             "points": spec.num_points,
             "job": job.to_dict(),
         }
-
-    def _committed_points(self, spec: SweepSpec) -> int:
-        """How many of ``spec``'s points the store already holds."""
-        committed = self.store.completed_keys(spec)
-        return sum(1 for point in spec.expand() if point.key in committed)
 
     # ----------------------------------------------------------------- rows
     def spec_for_hash(self, spec_hash: str) -> SweepSpec:
@@ -209,32 +235,58 @@ class SweepService:
         raise ServiceError(f"unknown sweep {spec_hash!r}; submit it first "
                            "(or check the hash against /v1/jobs)", status=404)
 
+    def _view(self, spec: SweepSpec, spec_hash: str) -> _StoredView:
+        """The stored view of ``spec``, rebuilt only when its rows moved.
+
+        The token is read *before* the rows, so a commit racing this call
+        can only leave a view newer than its token (the next call
+        rebuilds), never a stale one.  Racing rebuilds are harmless: each
+        builds a whole view and the last assignment wins.
+        """
+        token = self.store.rows_version(spec)
+        view = self._views.get(spec_hash)
+        if view is None or view.token != token:
+            view = _StoredView.build(token, self.store.load_rows(spec), spec)
+            self._views[spec_hash] = view
+        return view
+
     def rows(self, spec_hash: str) -> list[dict[str, Any]]:
-        """The committed rows of a sweep, in point-expansion order."""
-        spec = self.spec_for_hash(spec_hash)
-        return sorted(self.store.load_rows(spec),
-                      key=lambda row: row["point_index"])
+        """The committed rows of a sweep, in point-expansion order.
+
+        The row dicts are shared with the stored view: do not mutate them.
+        """
+        return list(self._view(self.spec_for_hash(spec_hash), spec_hash).rows)
 
     def row_lines(self, spec_hash: str) -> Iterator[str]:
-        """The rows as JSONL lines, byte-identical to the store encoding.
+        """The rows as JSONL lines: ``json.dumps`` of each row, which the
+        store's byte-stable contract makes equal to the committed bytes.
 
         Unknown hashes raise *before* the iterator is returned (not lazily
         inside it), so a caller learns of the 404 when it asks, not midway
         through the lines.
         """
-        rows = self.rows(spec_hash)
-        return (json.dumps(row) for row in rows)
+        return iter(self._view(self.spec_for_hash(spec_hash), spec_hash).lines)
 
     def aggregate(self, spec_hash: str, *, by: list[str],
                   value: str = "rounds_mean",
                   stats: Optional[list[str]] = None) -> list[dict[str, Any]]:
-        """Group-by reduction over a sweep's committed rows."""
-        rows = self.rows(spec_hash)
-        if not rows:
+        """Group-by reduction over a sweep's committed rows.
+
+        Answers are kept per view, so a repeated query on unchanged rows
+        is a lookup; the dicts are shared with the view: do not mutate.
+        """
+        view = self._view(self.spec_for_hash(spec_hash), spec_hash)
+        if not view.rows:
             raise ServiceError(
                 f"sweep {spec_hash} has no committed rows yet", status=409)
-        return aggregate_rows(rows, by=by, value=value,
-                              stats=stats or DEFAULT_STATS)
+        stats = stats or DEFAULT_STATS
+        key = (tuple(by), value, tuple(stats))
+        answer = view.aggregates.get(key)
+        if answer is None:
+            answer = aggregate_rows(view.rows, by=by, value=value,
+                                    stats=stats)
+            view.aggregates[key] = answer
+        return list(answer)
 
     # --------------------------------------------------------------- health
     def healthz(self) -> dict[str, Any]:

@@ -34,6 +34,9 @@ service and remote-worker fabric rely on):
   so cached reruns render byte-identical tables.
 * **lock-free reads** — readers never block writers; consistency comes
   from commit atomicity.
+* **a rows version** — :meth:`~StoreBackend.rows_version` changes
+  whenever the committed rows of a spec change, whoever committed them,
+  so a reader can keep its parse until the token moves.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import abc
 import time
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Optional
+from typing import Any, ClassVar, Hashable, Iterable, Optional
 
 from ..spec import CODE_VERSION, SweepSpec
 
@@ -125,6 +128,15 @@ class StoreBackend(abc.ABC):
 
         Duplicated points keep their *first* committed row; torn artefacts
         of an interrupted commit are skipped.
+        """
+
+    @abc.abstractmethod
+    def rows_version(self, spec: SweepSpec) -> Hashable:
+        """A cheap token that changes whenever the committed rows change.
+
+        Equal tokens promise equal :meth:`load_rows` results.  Read the
+        token *before* the rows: a commit racing the read then makes the
+        rows newer than their token (the next read reloads), never older.
         """
 
     @abc.abstractmethod

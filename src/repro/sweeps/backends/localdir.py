@@ -101,6 +101,17 @@ class LocalDirBackend(StoreBackend):
                 rows.append(row)
         return rows
 
+    def rows_version(self, spec: SweepSpec) -> Optional[tuple[int, int, int]]:
+        # rows.jsonl only grows (every commit appends), and a reset unlinks
+        # it: the size moves with every commit even inside one tick of a
+        # coarse mtime clock.  Only a reset plus re-commits inside one tick
+        # that reuse the inode and reach the same size would go unseen.
+        try:
+            stat = os.stat(self.rows_path(spec))
+        except FileNotFoundError:
+            return None
+        return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
     def runs(self) -> list[dict]:
         if not self.root.exists():
             return []

@@ -172,6 +172,16 @@ class ObjectStoreBackend(StoreBackend):
             return set()
         return {path.stem for path in points.glob("*.json")}
 
+    def rows_version(self, spec: SweepSpec) -> Optional[frozenset[str]]:
+        # Point objects are immutable and named by their point_key, so the
+        # set of names fixes the rows; in-flight ``.tmp-*`` files are not
+        # rows and are left out, as load_rows leaves them out.
+        try:
+            names = os.listdir(self.sweep_prefix(spec) / self.POINTS)
+        except FileNotFoundError:
+            return None
+        return frozenset(name for name in names if name.endswith(".json"))
+
     def runs(self) -> list[dict]:
         sweeps = self.root / "sweeps"
         if not sweeps.is_dir():

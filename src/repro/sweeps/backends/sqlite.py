@@ -170,6 +170,19 @@ class SqliteBackend(StoreBackend):
         finally:
             connection.close()
 
+    def rows_version(self, spec: SweepSpec) -> Optional[tuple[int, Any]]:
+        # seq is AUTOINCREMENT, so it is never reused: a commit raises
+        # MAX(seq), a reset drops COUNT(*), and one snapshot reads both.
+        if not self.root.exists():
+            return None
+        connection = self._connect()
+        try:
+            return connection.execute(
+                "SELECT COUNT(*), MAX(seq) FROM rows WHERE spec_hash = ?",
+                (spec.content_hash(),)).fetchone()
+        finally:
+            connection.close()
+
     def runs(self) -> list[dict]:
         if not self.root.exists():
             return []

@@ -36,7 +36,7 @@ import socket
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Hashable, Iterable, Optional
 
 from ..telemetry.logs import StructuredLogger
 from .backends import LocalDirBackend, StoreBackend, open_backend
@@ -353,6 +353,10 @@ class SweepStore:
     def completed_keys(self, spec: SweepSpec) -> set[str]:
         """The ``point_key`` set of all committed points of ``spec``."""
         return self.backend.completed_keys(spec)
+
+    def rows_version(self, spec: SweepSpec) -> Hashable:
+        """A cheap token that changes whenever ``spec``'s rows change."""
+        return self.backend.rows_version(spec)
 
     def reset(self, spec: SweepSpec) -> None:
         """Drop the committed rows of ``spec`` (the manifest is kept)."""

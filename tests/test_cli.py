@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -442,6 +449,27 @@ class TestServiceVerbs:
             server.shutdown()
             server.server_close()
             service.stop()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command quietly."""
+
+    @pytest.mark.parametrize("argv", [["info"], ["info", "--json"]])
+    def test_closed_pipe_exits_without_traceback(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # Closed before the interpreter has even started: every write the
+        # command makes meets a pipe without a reader.
+        child.stdout.close()
+        stderr = child.stderr.read().decode("utf-8", "replace")
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestTelemetryVerbs:
