@@ -25,6 +25,7 @@ from ..core.dynamics import StopReason
 from ..core.ensemble import EnsembleDynamics, batch_stop_at_imitation_stable
 from ..core.protocols import Protocol
 from ..core.run import run_until_imitation_stable
+from ..engines import validate_engine
 from ..games.base import CongestionGame
 from ..games.nash import run_best_response
 from ..games.optimum import compute_social_optimum
@@ -60,9 +61,11 @@ def estimate_price_of_imitation(
     """Estimate ``I_Gamma / OPT`` by running the protocol to an
     imitation-stable state from independent random initialisations.
 
-    ``engine="batch"`` (default) runs all trials as one vectorized ensemble;
+    ``engine="batch"`` (default) runs all trials as one vectorized ensemble
+    (``"native"`` drives that ensemble through the fused kernel);
     ``engine="loop"`` runs them sequentially with spawned generators.
     """
+    validate_engine(engine, context="estimate_price_of_imitation")
     optimum = compute_social_optimum(game)
     fractional_cost: Optional[float] = None
     if isinstance(game, SingletonCongestionGame) and game.is_linear:
@@ -70,17 +73,18 @@ def estimate_price_of_imitation(
 
     costs: list[float] = []
     unconverged = 0
-    if engine == "batch":
+    if engine != "loop":
         dynamics = EnsembleDynamics(game, protocol, rng=rng)
         result = dynamics.run(
             replicas=trials,
             max_rounds=max_rounds,
             stop_condition=batch_stop_at_imitation_stable(),
+            backend=engine,
         )
         unconverged = sum(1 for reason in result.stop_reasons
                           if reason is StopReason.MAX_ROUNDS)
         costs = [float(c) for c in game.social_cost_batch(result.final_states)]
-    elif engine == "loop":
+    else:
         generators = spawn_rngs(rng, trials)
         for generator in generators:
             result = run_until_imitation_stable(
@@ -89,8 +93,6 @@ def estimate_price_of_imitation(
             if not result.converged:
                 unconverged += 1
             costs.append(float(game.social_cost(result.final_state)))
-    else:
-        raise ValueError(f"unknown engine {engine!r}; use 'loop' or 'batch'")
     summary = summarize(costs)
     expected_cost = summary.mean
     return PriceOfImitationResult(

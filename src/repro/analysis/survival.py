@@ -21,6 +21,7 @@ import numpy as np
 from ..core.dynamics import ConcurrentDynamics
 from ..core.ensemble import EnsembleDynamics
 from ..core.protocols import Protocol
+from ..engines import validate_engine
 from ..games.base import CongestionGame
 from ..games.state import StateLike
 from ..rng import RngLike, ensure_rng, spawn_rngs
@@ -110,6 +111,7 @@ def _estimate_extinction_probability_batch(
     rounds: int,
     trials: int,
     rng: RngLike = 0,
+    backend: str = "batch",
 ) -> dict[str, float]:
     """Batched extinction estimate: all trials advance as one ensemble and a
     per-round observer watches the congestion of initially-used resources."""
@@ -137,7 +139,7 @@ def _estimate_extinction_probability_batch(
         fresh = emptied & (extinction_round[indices] < 0)
         extinction_round[indices[fresh]] = round_index
 
-    dynamics.run(initial, max_rounds=rounds, observer=observer)
+    dynamics.run(initial, max_rounds=rounds, observer=observer, backend=backend)
     extinctions = int(np.count_nonzero(extinction_round >= 0))
     estimate, upper = probability_estimate(extinctions, trials)
     return {
@@ -164,15 +166,16 @@ def estimate_extinction_probability(
     Returns the point estimate, an upper confidence bound (rule of three when
     no extinction is ever observed), and the worst (smallest) congestion seen.
     With ``engine="batch"`` (default) the factory is called once and all
-    trials run as a vectorized ensemble; ``engine="loop"`` preserves the
+    trials run as a vectorized ensemble (``"native"`` drives that ensemble
+    through the fused kernel); ``engine="loop"`` preserves the
     one-trajectory-per-trial behaviour.
     """
-    if engine == "batch":
+    validate_engine(engine, context="estimate_extinction_probability")
+    if engine != "loop":
         return _estimate_extinction_probability_batch(
             game_factory(), protocol, rounds=rounds, trials=trials, rng=rng,
+            backend=engine,
         )
-    if engine != "loop":
-        raise ValueError(f"unknown engine {engine!r}; use 'loop' or 'batch'")
     generators = spawn_rngs(rng, trials)
     extinctions = 0
     min_congestion = float("inf")

@@ -28,10 +28,11 @@ generator — bit-identical stacks, bit-identical tables.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..sweeps import SweepSpec, run_sweep
 from .config import DEFAULTS, pick
 from .registry import ExperimentResult, register
-from .sweep_bridge import run_spec_points
 
 __all__ = ["run_error_terms_experiment", "error_terms_spec"]
 
@@ -76,13 +77,9 @@ def run_error_terms_experiment(
     workers: int = 1, store=None,
 ) -> ExperimentResult:
     """Run experiment F1 and return its result table."""
-    spec = error_terms_spec(quick=quick, seed=seed, samples=samples,
-                            num_players=num_players)
-
-    if engine == "batch":
-        sweep_rows = run_sweep(spec, workers=workers, store=store).rows
-    else:
-        sweep_rows = run_spec_points(spec, engine=engine)
+    spec = replace(error_terms_spec(quick=quick, seed=seed, samples=samples,
+                                    num_players=num_players), engine=engine)
+    sweep_rows = run_sweep(spec, workers=workers, store=store).rows
 
     rows = [{
         "game": FAMILY_LABELS[row["game"]],

@@ -22,6 +22,7 @@ from ..core.exploration import ExplorationProtocol
 from ..core.hybrid import make_hybrid_protocol
 from ..core.imitation import ImitationProtocol
 from ..core.run import run_until_nash
+from ..engines import validate_engine
 from ..games.nash import is_nash
 from ..games.optimum import compute_social_optimum
 from ..games.singleton import make_linear_singleton
@@ -46,6 +47,7 @@ def run_exploration_nash_experiment(
     num_players: int | None = None, engine: str = "batch",
 ) -> ExperimentResult:
     """Run experiment E9 and return its result table."""
+    validate_engine(engine, context="E9")
     trials = trials if trials is not None else pick(quick, 3, 10)
     num_players = num_players if num_players is not None else pick(quick, 40, 120)
     max_rounds = pick(quick, 30_000, 300_000)
@@ -70,13 +72,14 @@ def run_exploration_nash_experiment(
         rounds_used: list[float] = []
         reached_nash: list[bool] = []
         final_costs: list[float] = []
-        if engine == "batch":
+        if engine != "loop":
             dynamics = EnsembleDynamics(
                 game, protocol, rng=derive_rng(seed, "e9", protocol_name))
             ensemble = dynamics.run(
                 batch_broadcast(start, trials),
                 max_rounds=max_rounds,
                 stop_condition=batch_stop_at_nash(),
+                backend=engine,
             )
             rounds_used = [float(r) for r in ensemble.rounds]
             reached_nash = [bool(is_nash(game, state)) for state in ensemble.final_states]

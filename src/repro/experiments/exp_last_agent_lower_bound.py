@@ -30,6 +30,7 @@ from ..analysis.convergence import (
 from ..core.ensemble import batch_stop_at_nash
 from ..core.imitation import ImitationProtocol
 from ..core.run import run_until_nash
+from ..engines import validate_engine
 from ..games.generators import identical_links_game
 from ..games.state import GameState, batch_broadcast
 from ..rng import derive_rng
@@ -58,6 +59,7 @@ def run_last_agent_lower_bound_experiment(
     engine: str = "batch",
 ) -> ExperimentResult:
     """Run experiment E10 and return its result table."""
+    validate_engine(engine, context="E10")
     trials = trials if trials is not None else pick(quick, 10, 40)
     link_counts = pick_list(quick, [8, 16, 32, 64], [8, 16, 32, 64, 128, 256])
     protocol = ImitationProtocol(lambda_=1.0, use_nu_threshold=False)
@@ -71,12 +73,13 @@ def run_last_agent_lower_bound_experiment(
         start = _section4_start(num_links)
         max_rounds = 200 * num_players
 
-        if engine == "batch":
+        if engine != "loop":
             hitting = measure_hitting_times_ensemble(
                 game, protocol, batch_stop_at_nash(),
                 trials=trials, max_rounds=max_rounds,
                 rng=derive_rng(seed, "e10", num_links),
                 initial_states=batch_broadcast(start, trials),
+                backend=engine,
             )
         else:
             def run_one(generator, game=game, start=start, max_rounds=max_rounds):

@@ -28,8 +28,8 @@ per-replica ``rng_streams``; ``engine="loop"`` replays the same streams
 through the scalar engine — the two tables are bit-identical (the
 engine-parity tests assert this on the Braess and grid topologies).
 ``engine="native"`` executes the sweep through the fused round kernel
-(allclose parity tier); the engine is folded into the spec, so native rows
-get their own store keys.
+(allclose parity tier).  Every engine is folded into the spec, so each
+engine's rows get their own store keys and spec hashes.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from __future__ import annotations
 import importlib.util
 from dataclasses import replace
 
-from ..engines import validate_engine
 from ..sweeps import SweepSpec, run_sweep
 from .config import DEFAULTS, pick, pick_list
 from .registry import ExperimentResult, register
 from .reporting import find_row
-from .sweep_bridge import run_spec_points
 
 __all__ = ["run_network_scaling_experiment", "network_scaling_spec",
            "braess_paradox_spec"]
@@ -152,20 +150,16 @@ def run_network_scaling_experiment(
     engine: str = "batch", workers: int = 1, store=None,
 ) -> ExperimentResult:
     """Run experiment E14 and return its result table."""
-    validate_engine(engine, context="E14")
-    scaling_spec = network_scaling_spec(quick=quick, seed=seed, trials=trials,
-                                        num_players=num_players, k_paths=k_paths)
-    braess_spec = braess_paradox_spec(quick=quick, seed=seed, trials=trials,
-                                      num_players=num_players)
-
-    if engine in ("batch", "native"):
-        scaling_spec = replace(scaling_spec, engine=engine)
-        braess_spec = replace(braess_spec, engine=engine)
-        scaling_rows = run_sweep(scaling_spec, workers=workers, store=store).rows
-        braess_rows = run_sweep(braess_spec, workers=workers, store=store).rows
-    else:
-        scaling_rows = run_spec_points(scaling_spec, engine=engine)
-        braess_rows = run_spec_points(braess_spec, engine=engine)
+    scaling_spec = replace(
+        network_scaling_spec(quick=quick, seed=seed, trials=trials,
+                             num_players=num_players, k_paths=k_paths),
+        engine=engine)
+    braess_spec = replace(
+        braess_paradox_spec(quick=quick, seed=seed, trials=trials,
+                            num_players=num_players),
+        engine=engine)
+    scaling_rows = run_sweep(scaling_spec, workers=workers, store=store).rows
+    braess_rows = run_sweep(braess_spec, workers=workers, store=store).rows
 
     rows = ([_scaling_row(row) for row in scaling_rows]
             + [_braess_row(row) for row in braess_rows])

@@ -31,11 +31,12 @@ engine-parity tests assert this).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..sweeps import SweepSpec, run_sweep
 from .config import DEFAULTS, pick, pick_list
 from .registry import ExperimentResult, register
 from .reporting import find_row
-from .sweep_bridge import run_spec_points
 
 __all__ = ["run_overshooting_experiment", "overshoot_spec"]
 
@@ -86,14 +87,12 @@ def run_overshooting_experiment(
     workers: int = 1, store=None,
 ) -> ExperimentResult:
     """Run experiment E5 and return its result table."""
-    spec = overshoot_spec(quick=quick, seed=seed, trials=trials,
-                          num_players=num_players, drift_trials=drift_trials)
+    spec = replace(overshoot_spec(quick=quick, seed=seed, trials=trials,
+                                  num_players=num_players,
+                                  drift_trials=drift_trials), engine=engine)
     degrees = list(spec.axes["degree"])
 
-    if engine == "batch":
-        sweep_rows = run_sweep(spec, workers=workers, store=store).rows
-    else:
-        sweep_rows = run_spec_points(spec, engine=engine)
+    sweep_rows = run_sweep(spec, workers=workers, store=store).rows
 
     rows = [{
         "degree_d": row["degree"],

@@ -27,11 +27,12 @@ Non-converged replicas are excluded from the work/cost means and counted in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..sweeps import SweepSpec, run_sweep
 from .config import DEFAULTS, pick, pick_list
 from .registry import ExperimentResult, register
 from .reporting import find_row
-from .sweep_bridge import run_spec_points
 
 __all__ = ["run_protocol_comparison_experiment", "protocol_comparison_spec"]
 
@@ -77,14 +78,12 @@ def run_protocol_comparison_experiment(
     workers: int = 1, store=None,
 ) -> ExperimentResult:
     """Run experiment E11 and return its result table."""
-    spec = protocol_comparison_spec(quick=quick, seed=seed, trials=trials,
-                                    delta=delta, epsilon=epsilon)
+    spec = replace(protocol_comparison_spec(quick=quick, seed=seed, trials=trials,
+                                            delta=delta, epsilon=epsilon),
+                   engine=engine)
     player_counts = list(spec.axes["n"])
 
-    if engine == "batch":
-        sweep_rows = run_sweep(spec, workers=workers, store=store).rows
-    else:
-        sweep_rows = run_spec_points(spec, engine=engine)
+    sweep_rows = run_sweep(spec, workers=workers, store=store).rows
 
     rows = [{
         "n": row["n"],

@@ -25,11 +25,12 @@ only; trials that exhausted the round budget are counted in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..sweeps import SweepSpec, run_sweep
 from .config import DEFAULTS, pick
 from .registry import ExperimentResult, register
 from .reporting import find_row
-from .sweep_bridge import run_spec_points
 
 __all__ = ["run_virtual_agents_experiment", "virtual_agents_spec"]
 
@@ -78,13 +79,9 @@ def run_virtual_agents_experiment(
     workers: int = 1, store=None,
 ) -> ExperimentResult:
     """Run experiment E13 and return its result table."""
-    spec = virtual_agents_spec(quick=quick, seed=seed, trials=trials,
-                               num_players=num_players)
-
-    if engine == "batch":
-        sweep_rows = run_sweep(spec, workers=workers, store=store).rows
-    else:
-        sweep_rows = run_spec_points(spec, engine=engine)
+    spec = replace(virtual_agents_spec(quick=quick, seed=seed, trials=trials,
+                                       num_players=num_players), engine=engine)
+    sweep_rows = run_sweep(spec, workers=workers, store=store).rows
 
     rows = [{
         "protocol": PROTOCOL_LABELS[row["protocol"]],

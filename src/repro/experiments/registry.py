@@ -122,7 +122,8 @@ _OPTIONAL_KEYWORDS = ("engine", "workers", "trials", "store")
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment by identifier.
 
-    The ``engine`` keyword ("loop" or "batch") selects the round engine,
+    The ``engine`` keyword ("loop", "batch" or "native"; see
+    :mod:`repro.engines`) selects the round engine,
     ``workers``/``store`` drive the sweep scheduler of the grid-backed
     experiments and ``trials`` scales the Monte-Carlo replication.  Each is
     forwarded only to experiments that take it.

@@ -44,8 +44,9 @@ def run_all(
     """Run every registered experiment (or the subset in ``only``).
 
     ``engine`` selects the round engine ("batch" runs each experiment's
-    replicas as one vectorized ensemble, "loop" one trajectory at a time) for
-    every experiment that simulates concurrent rounds; ``jobs`` distributes
+    replicas as one vectorized ensemble, "native" through the fused round
+    kernel, "loop" one trajectory at a time) for every experiment that
+    simulates concurrent rounds; ``jobs`` distributes
     independent experiments over that many worker processes.  Unknown
     identifiers in ``only`` raise :class:`~repro.errors.ExperimentError`
     listing the valid ones.  Returns a mapping from experiment identifier to

@@ -148,8 +148,16 @@ class LocalDirBackend(StoreBackend):
         blob = "".join(json.dumps(row) + "\n" for row in rows)
         with self.lock(spec):
             self._ensure_manifest(spec)
-            with self.rows_path(spec).open("a", encoding="utf-8") as handle:
-                handle.write(blob)
+            with self.rows_path(spec).open("ab+") as handle:
+                # A crash mid-write leaves a torn last line with no newline;
+                # start on a fresh line so the first new row is not glued
+                # onto the fragment (and skipped with it by load_rows).
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        blob = "\n" + blob
+                handle.write(blob.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
         return len(rows)

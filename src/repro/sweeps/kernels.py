@@ -16,11 +16,11 @@ and never on the executing shard, worker count, or execution order.
 
 Engine parity
 -------------
-The experiment-backed measures (``overshoot_ratio``, ``dynamics_work``,
-``virtual_agent_nash``, ``network_convergence``, ``error_term_ratio``)
-derive *per-replica* random
-streams from the run seed and support ``engine="loop"`` alongside the
-default ``engine="batch"``:
+The engine comes from ``spec.engine`` and from nowhere else, so it is part
+of the spec's content hash and store key.  The experiment-backed measures
+(``overshoot_ratio``, ``dynamics_work``, ``virtual_agent_nash``,
+``network_convergence``, ``error_term_ratio``) derive *per-replica* random
+streams from the run seed and run under every engine:
 
 * ``batch`` advances all replicas through the ensemble engine with
   ``rng_streams`` (or one stacked migration draw for single-round
@@ -30,18 +30,17 @@ default ``engine="batch"``:
 
 Because both engines draw every replica's migrations from the same stream
 with the same shared sampling code, the two paths produce **bit-identical**
-rows — the property the engine-parity tests of the ported experiments
-assert.  The hitting-time measures predate this contract and support only
-``engine="batch"`` and ``engine="native"`` (their loop paths live in
-:mod:`repro.analysis.convergence`).
+rows — the property ``tests/test_engine_parity.py`` asserts through
+:func:`~repro.sweeps.run_sweep`.  The hitting-time measures predate this
+contract and support only ``"batch"`` and ``"native"`` (their loop paths
+live in :mod:`repro.analysis.convergence`).
 
-``engine="native"`` routes the multi-round measures through the fused
-round kernel (:mod:`repro.core.native`).  The native engine consumes a
-*single* random stream per ensemble (the first per-replica stream of the
-run seed) and draws its migrations through a different decomposition, so
-native rows agree with batch rows in distribution — the "allclose" parity
-tier of :data:`repro.engines.PARITY_TIERS` — but not sample-path-wise.
-Sweep specs therefore carry the engine in their content hash.  Engine
+``native`` routes the multi-round measures through the fused round kernel
+(:mod:`repro.core.native`).  The native engine consumes a *single* random
+stream per ensemble (the first per-replica stream of the run seed) and
+draws its migrations through a different decomposition, so native rows
+agree with batch rows in distribution — the "allclose" parity tier of
+:data:`repro.engines.PARITY_TIERS` — but not sample-path-wise.  Engine
 names are validated by :func:`repro.engines.validate_engine`, so typos
 fail immediately with an :class:`~repro.errors.EngineError` naming the
 valid backends.
@@ -103,10 +102,6 @@ from .spec import SweepError, SweepPoint, SweepSpec, point_key
 
 __all__ = ["GAME_BUILDERS", "PROTOCOL_BUILDERS", "MEASURES",
            "build_game", "build_protocol", "run_point"]
-
-def _check_engine(engine: str) -> None:
-    validate_engine(engine, context="sweep kernel")
-
 
 # ----------------------------------------------------------------------
 # Game builders: params + instance seed sequence -> CongestionGame
@@ -319,9 +314,8 @@ def _hitting_columns(hitting: HittingTimeResult) -> dict[str, Any]:
 
 def _measure_approx_equilibrium(spec: SweepSpec, params: Mapping[str, Any],
                                 game: CongestionGame, protocol: Protocol,
-                                run_rng: np.random.SeedSequence,
-                                engine: str = "batch") -> dict[str, Any]:
-    backend = _ensemble_backend("approx_equilibrium_time", engine)
+                                run_rng: np.random.SeedSequence) -> dict[str, Any]:
+    backend = _ensemble_backend("approx_equilibrium_time", spec.engine)
     stop = batch_stop_at_approx_equilibrium(
         float(params.get("delta", 0.25)),
         float(params.get("epsilon", 0.25)),
@@ -336,9 +330,8 @@ def _measure_approx_equilibrium(spec: SweepSpec, params: Mapping[str, Any],
 
 def _measure_imitation_stable(spec: SweepSpec, params: Mapping[str, Any],
                               game: CongestionGame, protocol: Protocol,
-                              run_rng: np.random.SeedSequence,
-                              engine: str = "batch") -> dict[str, Any]:
-    backend = _ensemble_backend("imitation_stable_time", engine)
+                              run_rng: np.random.SeedSequence) -> dict[str, Any]:
+    backend = _ensemble_backend("imitation_stable_time", spec.engine)
     stop = batch_stop_at_imitation_stable(params.get("nu"))
     return _hitting_columns(measure_hitting_times_ensemble(
         game, protocol, stop, trials=spec.replicas,
@@ -349,9 +342,8 @@ def _measure_imitation_stable(spec: SweepSpec, params: Mapping[str, Any],
 
 def _measure_nash(spec: SweepSpec, params: Mapping[str, Any],
                   game: CongestionGame, protocol: Protocol,
-                  run_rng: np.random.SeedSequence,
-                  engine: str = "batch") -> dict[str, Any]:
-    backend = _ensemble_backend("nash_time", engine)
+                  run_rng: np.random.SeedSequence) -> dict[str, Any]:
+    backend = _ensemble_backend("nash_time", spec.engine)
     stop = batch_stop_at_nash(float(params.get("tolerance", 1e-9)))
     return _hitting_columns(measure_hitting_times_ensemble(
         game, protocol, stop, trials=spec.replicas,
@@ -368,7 +360,6 @@ def _ensemble_backend(measure: str, engine: str) -> str:
     and ``"native"`` backends; the loop path of the grid experiments lives
     in :mod:`repro.analysis.convergence`.
     """
-    _check_engine(engine)
     if engine == "loop":
         raise SweepError(
             f"measure {measure!r} supports engine='batch' or 'native' only; "
@@ -402,6 +393,26 @@ def _stacked_migrations(counts: np.ndarray, matrix: np.ndarray, samples: int,
                      for _ in range(samples)])
 
 
+def _run_on_streams(game: CongestionGame, protocol: Protocol,
+                    initial_states: np.ndarray,
+                    streams: Sequence[np.random.Generator], engine: str,
+                    **run_kwargs):
+    """One :class:`EnsembleDynamics` run of the replicas on their streams.
+
+    ``batch`` gives each replica its own stream (``rng_streams``), so every
+    trajectory is bit-identical to a :class:`ConcurrentDynamics` run on the
+    same generator.  ``native`` has no per-replica stream mode: the fused
+    kernel consumes the *first* stream as its single generator, so its
+    trajectories agree with the reference pair in distribution (allclose
+    tier), not bit-for-bit.
+    """
+    if engine == "native":
+        return EnsembleDynamics(game, protocol, rng=streams[0]).run(
+            initial_states, backend="native", **run_kwargs)
+    return EnsembleDynamics(game, protocol, rng=0).run(
+        initial_states, rng_streams=list(streams), **run_kwargs)
+
+
 def _ensemble_trajectories(
     game: CongestionGame,
     protocol: Protocol,
@@ -428,30 +439,15 @@ def _ensemble_trajectories(
     (``batch_stop_from_scalar``), which evaluates the game once per replica
     per round and easily dominates the whole batch run.
 
-    ``engine="native"`` runs the ensemble through the fused round kernel.
-    The native engine has no per-replica stream mode: it consumes the
-    *first* stream as its single generator, so its trajectories agree with
-    the reference pair in distribution (allclose tier), not bit-for-bit.
+    ``engine="native"`` runs the ensemble through the fused round kernel
+    (see :func:`_run_on_streams`).
     """
     if engine in ("batch", "native"):
         if batch_stop is None and scalar_stop is not None:
             batch_stop = batch_stop_from_scalar(scalar_stop)
-        if engine == "native":
-            dynamics = EnsembleDynamics(game, protocol, rng=streams[0])
-            result = dynamics.run(
-                initial_states,
-                max_rounds=max_rounds,
-                stop_condition=batch_stop,
-                backend="native",
-            )
-        else:
-            dynamics = EnsembleDynamics(game, protocol, rng=0)
-            result = dynamics.run(
-                initial_states,
-                max_rounds=max_rounds,
-                stop_condition=batch_stop,
-                rng_streams=list(streams),
-            )
+        result = _run_on_streams(game, protocol, initial_states, streams,
+                                 engine, max_rounds=max_rounds,
+                                 stop_condition=batch_stop)
         finals = [result.final_states.to_array()[index]
                   for index in range(result.num_replicas)]
         return finals, result.rounds.astype(np.int64), result.converged
@@ -506,22 +502,10 @@ def _potential_trajectories(game: CongestionGame, protocol: Protocol,
     """
     if engine in ("batch", "native"):
         collector = EnsembleCollector(game, metrics=("potential",), every=1)
-        if engine == "native":
-            dynamics = EnsembleDynamics(game, protocol, rng=streams[0])
-            result = dynamics.run(
-                np.tile(start_counts, (len(streams), 1)),
-                max_rounds=rounds,
-                collector=collector,
-                backend="native",
-            )
-        else:
-            dynamics = EnsembleDynamics(game, protocol, rng=0)
-            result = dynamics.run(
-                np.tile(start_counts, (len(streams), 1)),
-                max_rounds=rounds,
-                collector=collector,
-                rng_streams=list(streams),
-            )
+        result = _run_on_streams(game, protocol,
+                                 np.tile(start_counts, (len(streams), 1)),
+                                 streams, engine, max_rounds=rounds,
+                                 collector=collector)
         trace = result.metric("potential")  # (T, R)
         return [trace[:int(result.rounds[index]) + 1, index]
                 for index in range(result.num_replicas)]
@@ -536,10 +520,8 @@ def _potential_trajectories(game: CongestionGame, protocol: Protocol,
 
 def _measure_overshoot(spec: SweepSpec, params: Mapping[str, Any],
                        game: CongestionGame, protocol: Protocol,
-                       run_rng: np.random.SeedSequence,
-                       engine: str = "batch") -> dict[str, Any]:
+                       run_rng: np.random.SeedSequence) -> dict[str, Any]:
     """One-round overshoot statistics plus long-run potential drift (E5)."""
-    _check_engine(engine)
     degree = float(params.get("degree", 2.0))
     fraction = float(params.get("start_latency_fraction", 0.7))
     start = two_link_overshoot_start(game, degree, latency_fraction=fraction)
@@ -555,7 +537,7 @@ def _measure_overshoot(spec: SweepSpec, params: Mapping[str, Any],
     gen = np.random.default_rng(round_seq)
     probabilities = protocol.switch_probabilities(game, counts)
     migrations = _stacked_migrations(counts, probabilities.matrix,
-                                     spec.replicas, gen, engine)
+                                     spec.replicas, gen, spec.engine)
     deltas = migrations.sum(axis=1) - migrations.sum(axis=2)
     post_counts = counts[np.newaxis, :] + deltas
     post_loads = game.congestion_batch(post_counts)  # (R, m)
@@ -569,7 +551,7 @@ def _measure_overshoot(spec: SweepSpec, params: Mapping[str, Any],
     drift_trials = int(params.get("drift_trials", 3))
     drift = aggregate_potential_increases(_potential_trajectories(
         game, protocol, counts, spawn_rngs(drift_seq, drift_trials),
-        rounds=drift_rounds, engine=engine,
+        rounds=drift_rounds, engine=spec.engine,
     ))
     return {
         "trials": spec.replicas,
@@ -591,8 +573,7 @@ _SEQUENTIAL_DYNAMICS = ("best-response", "epsilon-greedy", "goldberg")
 
 def _measure_dynamics_work(spec: SweepSpec, params: Mapping[str, Any],
                            game: CongestionGame, protocol: Protocol,
-                           run_rng: np.random.SeedSequence,
-                           engine: str = "batch") -> dict[str, Any]:
+                           run_rng: np.random.SeedSequence) -> dict[str, Any]:
     """Work (rounds/moves/probes) of one dynamics to a comparable state (E11).
 
     ``dynamics`` selects the process: ``"imitation"`` is the concurrent
@@ -607,7 +588,6 @@ def _measure_dynamics_work(spec: SweepSpec, params: Mapping[str, Any],
     not used.  Non-converged replicas are excluded from the work/cost
     means and reported in ``non_converged_trials``.
     """
-    _check_engine(engine)
     dynamics_name = str(params.get("dynamics", "imitation"))
     delta = float(params.get("delta", 0.1))
     epsilon = float(params.get("epsilon", 0.1))
@@ -631,7 +611,7 @@ def _measure_dynamics_work(spec: SweepSpec, params: Mapping[str, Any],
             game, protocol, np.stack(starts), run_streams,
             max_rounds=max_rounds,
             scalar_stop=stop_at_approx_equilibrium(delta, epsilon),
-            engine=engine,
+            engine=spec.engine,
         )
     elif dynamics_name in _SEQUENTIAL_DYNAMICS:
         finals, work_list, converged_list = [], [], []
@@ -681,8 +661,7 @@ def _measure_dynamics_work(spec: SweepSpec, params: Mapping[str, Any],
 
 def _measure_virtual_agent_nash(spec: SweepSpec, params: Mapping[str, Any],
                                 game: CongestionGame, protocol: Protocol,
-                                run_rng: np.random.SeedSequence,
-                                engine: str = "batch") -> dict[str, Any]:
+                                run_rng: np.random.SeedSequence) -> dict[str, Any]:
     """Recovery from the all-on-the-slowest-strategy start (E13).
 
     All replicas start on the strategy with the worst full-load latency and
@@ -690,7 +669,6 @@ def _measure_virtual_agent_nash(spec: SweepSpec, params: Mapping[str, Any],
     fraction, mean rounds over *converged* replicas, and the explicit
     non-converged count.
     """
-    _check_engine(engine)
     tolerance = float(params.get("tolerance", 1e-9))
     max_rounds = int(params.get("max_rounds", spec.max_rounds))
     optimum = compute_social_optimum(game)
@@ -703,7 +681,8 @@ def _measure_virtual_agent_nash(spec: SweepSpec, params: Mapping[str, Any],
     streams = spawn_rngs(run_rng, spec.replicas)
     finals, rounds, converged = _ensemble_trajectories(
         game, protocol, np.tile(start, (spec.replicas, 1)), streams,
-        max_rounds=max_rounds, scalar_stop=stop_at_nash(tolerance), engine=engine,
+        max_rounds=max_rounds, scalar_stop=stop_at_nash(tolerance),
+        engine=spec.engine,
     )
     reached = np.array([is_nash(game, final, tolerance=tolerance)
                         for final in finals], dtype=bool)
@@ -726,8 +705,7 @@ def _measure_virtual_agent_nash(spec: SweepSpec, params: Mapping[str, Any],
 
 def _measure_network_convergence(spec: SweepSpec, params: Mapping[str, Any],
                                  game: CongestionGame, protocol: Protocol,
-                                 run_rng: np.random.SeedSequence,
-                                 engine: str = "batch") -> dict[str, Any]:
+                                 run_rng: np.random.SeedSequence) -> dict[str, Any]:
     """Routing-dynamics convergence on a network topology (E14).
 
     Replicas start from independent uniform-random path assignments and run
@@ -741,7 +719,6 @@ def _measure_network_convergence(spec: SweepSpec, params: Mapping[str, Any],
     engines derive the same per-replica streams, so loop and batch rows are
     bit-identical.
     """
-    _check_engine(engine)
     delta = float(params.get("delta", 0.25))
     epsilon = float(params.get("epsilon", 0.25))
     max_rounds = int(params.get("max_rounds", spec.max_rounds))
@@ -759,7 +736,7 @@ def _measure_network_convergence(spec: SweepSpec, params: Mapping[str, Any],
         max_rounds=max_rounds,
         scalar_stop=stop_at_approx_equilibrium(delta, epsilon),
         batch_stop=batch_stop_at_approx_equilibrium(delta, epsilon),
-        engine=engine,
+        engine=spec.engine,
     )
     costs = np.array([game.social_cost(final) for final in finals], dtype=float)
     converged_rounds = [float(r) for r, ok in zip(rounds, converged) if ok]
@@ -782,8 +759,7 @@ def _measure_network_convergence(spec: SweepSpec, params: Mapping[str, Any],
 
 def _measure_error_terms(spec: SweepSpec, params: Mapping[str, Any],
                          game: CongestionGame, protocol: Protocol,
-                         run_rng: np.random.SeedSequence,
-                         engine: str = "batch") -> dict[str, Any]:
+                         run_rng: np.random.SeedSequence) -> dict[str, Any]:
     """Lemma 1 / Lemma 2 error-term statistics over sampled rounds (F1).
 
     The batch engine draws all ``replicas`` migration samples in one stacked
@@ -792,14 +768,13 @@ def _measure_error_terms(spec: SweepSpec, params: Mapping[str, Any],
     through :func:`repro.core.potential.potential_breakdown_batch` in both
     cases.
     """
-    _check_engine(engine)
     state_seq, sample_seq = run_rng.spawn(2)
     state = game.uniform_random_state(np.random.default_rng(state_seq))
     counts = state.counts
     probabilities = protocol.switch_probabilities(game, counts)
     gen = np.random.default_rng(sample_seq)
     migrations = _stacked_migrations(counts, probabilities.matrix,
-                                     spec.replicas, gen, engine)
+                                     spec.replicas, gen, spec.engine)
     breakdown = potential_breakdown_batch(game, counts, migrations)
 
     meaningful = breakdown.virtual_gains < -1e-12
@@ -839,8 +814,7 @@ MEASURES: dict[str, Callable[..., dict[str, Any]]] = {
 # ----------------------------------------------------------------------
 
 def run_point(spec: SweepSpec, point: SweepPoint,
-              seed_sequence: np.random.SeedSequence,
-              *, engine: Optional[str] = None) -> dict[str, Any]:
+              seed_sequence: np.random.SeedSequence) -> dict[str, Any]:
     """Execute one sweep point and return its result row.
 
     The row carries the point identity (``point_index``, ``point_key``), the
@@ -848,21 +822,17 @@ def run_point(spec: SweepSpec, point: SweepPoint,
     JSON-serialisable so the store can persist it verbatim.  A ``"game"`` or
     ``"protocol"`` entry in the point's parameters overrides the spec-level
     default, which lets a single sweep compare game families or protocols
-    along an axis.  ``engine`` selects the execution engine of the
-    measures; ``None`` (the scheduler's call) resolves to ``spec.engine``,
-    so the engine choice travels with the spec — and with its content hash.
-    The experiments' ``engine="loop"`` parity path overrides it directly.
+    along an axis.  The measures run on ``spec.engine``: the engine travels
+    with the spec, and so with its content hash and store key.
     """
-    if engine is None:
-        engine = spec.engine
-    _check_engine(engine)
+    validate_engine(spec.engine, context="sweep kernel")
     instance_rng, run_rng = seed_sequence.spawn(2)
     game_name = str(point.params.get("game", spec.game))
     protocol_name = str(point.params.get("protocol", spec.protocol))
     game = build_game(game_name, point.params, instance_rng)
     protocol = build_protocol(protocol_name, point.params)
     columns = MEASURES[spec.measure](spec, point.params, game, protocol,
-                                     run_rng, engine=engine)
+                                     run_rng)
     return {
         "point_index": point.index,
         "point_key": point.key,

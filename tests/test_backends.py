@@ -273,3 +273,30 @@ class TestRunSweepOverBackends:
         flat = result.metrics.flat()
         assert any(name.startswith("store_commit_seconds")
                    and 'backend="sqlite"' in name for name in flat)
+
+
+# ----------------------------------------------------------------------
+# The dir backend after a torn write
+# ----------------------------------------------------------------------
+
+class TestLocalDirTornTail:
+    def test_commit_after_torn_line_keeps_its_first_row(self, tmp_path):
+        """A crash mid-commit leaves a trailing fragment without a newline;
+        the next commit must start on a fresh line, not glue its first row
+        onto the fragment (where ``load_rows`` would skip it)."""
+        store = SweepStore(store_url("dir", tmp_path))
+        spec = tiny_spec()
+        points = spec.expand()
+        rows = [{"point_index": p.index, "point_key": p.key, "value": p.index}
+                for p in points]
+        versions = [store.rows_version(spec)]
+        store.commit(spec, rows[:2])
+        versions.append(store.rows_version(spec))
+        with store.rows_path(spec).open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(rows[2])[:25])
+        versions.append(store.rows_version(spec))
+        store.commit(spec, rows[2:])
+        versions.append(store.rows_version(spec))
+        assert [row["point_index"] for row in store.load_rows(spec)] \
+            == [0, 1, 2, 3]
+        assert len(set(versions)) == len(versions)

@@ -1,19 +1,31 @@
-"""Engine-parity tests for the ported experiments (E5, E6, E11, E13, F1).
+"""Engine-parity tests for the sweep-backed experiments (E5, E6, E11, E13,
+E14, F1).
 
 The migration contract: ``engine="loop"`` and ``engine="batch"`` derive the
 same per-replica random streams and share the migration-sampling code, so
 the two engines must produce **bit-identical** result tables (the same
 pattern as the sweep scheduler's worker-count determinism), and the E6
-sequential ensemble must be independent of its worker count.
+sequential ensemble must be independent of its worker count.  The engine
+reaches the sweep kernels only through ``spec.engine``, so every parity
+check runs :func:`~repro.sweeps.run_sweep` on a spec with the engine folded
+in.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.dynamics import ConcurrentDynamics
+from repro.core.ensemble import EnsembleDynamics
 from repro.core.sequential import run_sequential_ensemble
-from repro.experiments.exp_error_terms import run_error_terms_experiment
+from repro.errors import EngineError
+from repro.experiments.exp_error_terms import (
+    error_terms_spec,
+    run_error_terms_experiment,
+)
 from repro.experiments.exp_network_scaling import (
     network_scaling_spec,
     run_network_scaling_experiment,
@@ -24,9 +36,14 @@ from repro.experiments.exp_sequential_lower_bound import (
     run_sequential_lower_bound_experiment,
 )
 from repro.experiments.exp_virtual_agents import run_virtual_agents_experiment
-from repro.experiments.sweep_bridge import run_spec_points
+from repro.experiments.registry import (
+    experiment_accepts,
+    get_experiment,
+    list_experiments,
+)
+from repro.experiments.runner import run_all
 from repro.games.threshold import geometric_weight_matrix, lift_for_imitation
-from repro.sweeps import SweepSpec, run_sweep
+from repro.sweeps import SweepSpec, run_sweep, scheduler
 from repro.experiments.exp_overshooting import overshoot_spec
 
 
@@ -64,6 +81,48 @@ def test_unknown_engine_rejected():
     with pytest.raises(Exception, match="engine"):
         run_error_terms_experiment(quick=True, samples=5, seed=1,
                                    num_players=40, engine="warp")
+
+
+_ENGINE_EXPERIMENTS = [spec.experiment_id for spec in list_experiments()
+                       if experiment_accepts(spec.experiment_id, "engine")]
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test as soon as any engine or sweep point starts running."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started before the engine was validated")
+
+    monkeypatch.setattr(EnsembleDynamics, "run", refuse)
+    monkeypatch.setattr(ConcurrentDynamics, "run", refuse)
+    monkeypatch.setattr(scheduler, "run_point", refuse)
+
+
+@pytest.mark.parametrize("experiment_id", _ENGINE_EXPERIMENTS)
+def test_unknown_engine_raises_before_any_run(experiment_id, no_runs):
+    with pytest.raises(EngineError, match="bogus"):
+        get_experiment(experiment_id).func(quick=True, engine="bogus")
+
+
+@pytest.mark.parametrize("runner, spec_factory, kwargs", [
+    (run_overshooting_experiment, overshoot_spec,
+     dict(trials=3, seed=7, num_players=100)),
+    (run_error_terms_experiment, error_terms_spec,
+     dict(samples=10, seed=7, num_players=40)),
+], ids=["e5", "f1"])
+def test_native_run_records_the_spec_that_ran(runner, spec_factory, kwargs):
+    result = runner(quick=True, engine="native", **kwargs)
+    native = replace(spec_factory(quick=True, **kwargs), engine="native")
+    assert result.parameters["sweep_spec_hash"] == native.content_hash()
+    assert result.parameters["sweep_spec_hash"] != \
+        spec_factory(quick=True, **kwargs).content_hash()
+
+
+def test_run_all_finishes_on_the_native_engine():
+    results = run_all(quick=True, engine="native")
+    assert len(results) == len(list_experiments())
+    for experiment_id in _ENGINE_EXPERIMENTS:
+        assert results[experiment_id].parameters["engine"] == "native"
 
 
 def test_sequential_ensemble_independent_of_worker_count():
@@ -123,8 +182,8 @@ def test_network_measure_loop_and_batch_rows_bit_identical(game, axes, base):
         base={"delta": 0.05, "epsilon": 0.05, **base},
         replicas=3, max_rounds=300, seed=123,
     )
-    assert run_spec_points(spec, engine="loop") == \
-        run_spec_points(spec, engine="batch")
+    assert run_sweep(replace(spec, engine="loop")).rows == \
+        run_sweep(spec).rows
 
 
 def test_spelled_out_enumerate_mode_does_not_change_rows():
@@ -144,8 +203,7 @@ def test_spelled_out_enumerate_mode_does_not_change_rows():
     def clean(rows):
         return [{key: value for key, value in row.items()
                  if key not in differs_by_construction} for row in rows]
-    assert clean(run_spec_points(implicit, engine="batch")) == \
-        clean(run_spec_points(spelled, engine="batch"))
+    assert clean(run_sweep(implicit).rows) == clean(run_sweep(spelled).rows)
 
 
 def test_non_converged_replicas_reported_not_averaged():
@@ -153,12 +211,9 @@ def test_non_converged_replicas_reported_not_averaged():
     None means — never a silently censored average (and E11's notes stay
     graceful)."""
     from repro.experiments.exp_protocol_comparison import protocol_comparison_spec
-    from repro.experiments.sweep_bridge import run_spec_points
-    from repro.sweeps import SweepSpec
 
     spec = protocol_comparison_spec(quick=True, trials=2, seed=3)
-    starved = SweepSpec.from_dict({**spec.to_dict(), "max_rounds": 1})
-    rows = run_spec_points(starved, engine="batch")
+    rows = run_sweep(replace(spec, max_rounds=1)).rows
     imitation_rows = [row for row in rows if row["dynamics"] == "imitation"]
     assert imitation_rows
     for row in imitation_rows:
