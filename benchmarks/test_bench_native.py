@@ -1,32 +1,36 @@
 """Benchmarks of the native fused round kernel (``engine="native"``).
 
-Two acceptance guards from ISSUE 6 plus a float32 record:
+Two acceptance guards plus a float32 record:
 
 * on an E14-size game (64 sampled paths over a layered DAG) the native
   backend must be >= 10x faster than ``engine="batch"`` **when numba is
-  installed** (the numpy fallback only has to stay in batch's league — it
-  exists for correctness, not speed);
+  installed**; without numba ``native`` runs the batch round, so its rounds
+  and final states must equal batch's bit for bit;
 * a game with n >= 10^6 players must complete a convergence run to an
   approximate equilibrium inside the time budget — the count-based state
   makes the round cost independent of ``n``, and this guard keeps it that
   way.
+
+Without numba, float32 has no engine and must be refused.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+import pytest
+
 from repro.core.ensemble import EnsembleDynamics, batch_stop_at_approx_equilibrium
 from repro.core.imitation import ImitationProtocol
 from repro.core.native import NUMBA_AVAILABLE
+from repro.engines import engine_runtime_info
+from repro.errors import NativeBackendError
 from repro.games.network import layered_random_network_game
 from repro.games.singleton import make_linear_singleton
 
-#: Speedup the JIT kernel must show over the batch engine (ISSUE 6).
+#: Speedup the JIT kernel must show over the batch engine.
 NATIVE_SPEEDUP_FLOOR = 10.0
-
-#: The numpy fallback must not regress the batch engine by more than this.
-FALLBACK_SLOWDOWN_CEILING = 2.0
 
 #: Wall-clock budget for the million-player convergence run.
 MILLION_PLAYER_BUDGET_SECONDS = 60.0
@@ -50,8 +54,8 @@ def _e14_size_workload():
 
 
 def test_bench_native_e14_size_speedup_vs_batch(benchmark):
-    """Acceptance guard: >= 10x over the batch engine under numba; the
-    numpy fallback merely must not fall behind batch by more than 2x."""
+    """Acceptance guard: >= 10x over the batch engine under numba; without
+    numba, native is the batch round and must reproduce it bit for bit."""
     game, run = _e14_size_workload()
     run("native")  # warm the JIT (or numpy caches) outside the clock
 
@@ -64,8 +68,7 @@ def test_bench_native_e14_size_speedup_vs_batch(benchmark):
     native_seconds = benchmark.stats.stats.mean
     speedup = batch_seconds / native_seconds
 
-    benchmark.extra_info["native_mode"] = (
-        "numba-jit" if NUMBA_AVAILABLE else "numpy-fallback")
+    benchmark.extra_info["native_mode"] = engine_runtime_info()["native_mode"]
     benchmark.extra_info["num_strategies"] = game.num_strategies
     benchmark.extra_info["num_resources"] = game.num_resources
     benchmark.extra_info["batch_seconds"] = round(batch_seconds, 4)
@@ -82,10 +85,8 @@ def test_bench_native_e14_size_speedup_vs_batch(benchmark):
             f"({native_seconds:.3f}s vs {batch_seconds:.3f}s)"
         )
     else:
-        assert native_seconds <= FALLBACK_SLOWDOWN_CEILING * batch_seconds, (
-            f"numpy fallback {native_seconds / batch_seconds:.1f}x slower "
-            f"than batch ({native_seconds:.3f}s vs {batch_seconds:.3f}s)"
-        )
+        assert np.array_equal(native_result.final_states.to_array(),
+                              batch_result.final_states.to_array())
 
 
 def test_bench_native_million_players_convergence(benchmark):
@@ -107,8 +108,7 @@ def test_bench_native_million_players_convergence(benchmark):
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     seconds = benchmark.stats.stats.max
     benchmark.extra_info["num_players"] = game.num_players
-    benchmark.extra_info["native_mode"] = (
-        "numba-jit" if NUMBA_AVAILABLE else "numpy-fallback")
+    benchmark.extra_info["native_mode"] = engine_runtime_info()["native_mode"]
     benchmark.extra_info["replicas"] = 32
     benchmark.extra_info["max_rounds_converged"] = int(result.rounds.max())
     benchmark.extra_info["wall_seconds"] = round(seconds, 4)
@@ -125,7 +125,8 @@ def test_bench_native_million_players_convergence(benchmark):
 def test_bench_native_float32_mode(benchmark):
     """Record the float32 accumulation mode on the E14-size workload (the
     memory-lean tier; no speed assertion — its win is bandwidth on games
-    too large for this smoke)."""
+    too large for this smoke).  Without numba float32 has no engine: the
+    run must raise :class:`NativeBackendError` naming numba."""
     game, _ = _e14_size_workload()
     protocol = ImitationProtocol(use_nu_threshold=False)
     initial = game.uniform_random_batch_state(16, rng=5).to_array()
@@ -135,9 +136,12 @@ def test_bench_native_float32_mode(benchmark):
         return dynamics.run(initial, max_rounds=200, backend="native",
                             dtype="float32")
 
+    if not NUMBA_AVAILABLE:
+        with pytest.raises(NativeBackendError, match="numba"):
+            run()
+        return
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["dtype"] = "float32"
-    benchmark.extra_info["native_mode"] = (
-        "numba-jit" if NUMBA_AVAILABLE else "numpy-fallback")
+    benchmark.extra_info["native_mode"] = engine_runtime_info()["native_mode"]
     totals = result.final_states.to_array().sum(axis=1)
     assert (totals == game.num_players).all()

@@ -90,9 +90,11 @@ def _bench6_baseline() -> tuple[float, bool]:
 
     env = record["environment"]
     runtime = engine_runtime_info()
+    # numba availability, not the native mode's name: the record predates
+    # the rename of the numba-free mode, and the guard workload is batch
     comparable = (env["python"] == platform.python_version()
                   and env["numpy"] == numpy.__version__
-                  and env["native_mode"] == runtime["native_mode"])
+                  and env["numba_available"] == runtime["numba_available"])
     return mean, comparable
 
 

@@ -20,8 +20,10 @@ Two measurement engines are available:
 Both engines are reproducible from their seed but consume the randomness
 differently, so their sampled hitting times are *statistically* (not
 sample-path-wise) equivalent.  :func:`measure_hitting_times_ensemble`
-additionally accepts ``backend="native"`` to drive the ensemble through the
-fused round kernel (:mod:`repro.core.native`) — same statistical contract.
+additionally accepts ``backend="native"``: with numba the ensemble runs in
+the fused round kernel (:mod:`repro.core.native`) under the same
+statistical contract; without numba it runs the batch round, so its times
+equal ``backend="batch"``'s.
 """
 
 from __future__ import annotations
@@ -116,10 +118,12 @@ def measure_hitting_times_ensemble(
     :attr:`~repro.core.dynamics.StopReason.MAX_ROUNDS` are counted as
     censored, exactly like the sequential loop.
 
-    ``backend`` selects the ensemble execution backend (``"batch"`` or the
-    fused ``"native"`` kernel); both consume one generator derived from
-    ``rng`` but draw migrations through different decompositions, so their
-    sampled hitting times agree in distribution, not bit-for-bit.
+    ``backend`` selects the ensemble execution backend (``"batch"`` or
+    ``"native"``); both consume one generator derived from ``rng``.  The
+    numba kernel behind ``"native"`` draws migrations through a different
+    decomposition, so its sampled hitting times agree with batch's in
+    distribution, not bit-for-bit; without numba ``"native"`` runs the
+    batch round and returns the same times.
     """
     dynamics = EnsembleDynamics(game, protocol, rng=rng)
     result = dynamics.run(

@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--dtype", choices=("float64", "float32"),
                             default="float64",
                             help="latency arithmetic precision; float32 is a "
-                                 "native-engine feature (see docs/ENGINE.md)")
+                                 "native-engine feature and needs numba "
+                                 "(see docs/ENGINE.md)")
     sim_parser.add_argument("--rows", type=int, default=None,
                             help="grid rows (--game grid; default 2)")
     sim_parser.add_argument("--cols", type=int, default=None,

@@ -491,24 +491,26 @@ class EnsembleDynamics:
             multinomial per round from its single generator (the fast
             default).
         backend:
-            ``"batch"`` (this engine, the default) or ``"native"`` — the
-            fused round kernel of :mod:`repro.core.native` (numba-JIT when
-            available, vectorised numpy otherwise).  The native backend is
-            deterministic from its seed but draws through a different
-            decomposition of the multinomial, so it matches this engine in
-            distribution and on all deterministic quantities, not
-            bit-for-bit (docs/ENGINE.md).
+            ``"batch"`` (this engine, the default) or ``"native"``.  With
+            numba installed ``"native"`` runs the fused round kernel of
+            :mod:`repro.core.native`: deterministic from its seed, but it
+            draws through a different decomposition of the multinomial, so
+            it matches this engine in distribution and on all
+            deterministic quantities, not bit-for-bit.  Without numba it
+            runs this engine's round on the single generator, bit-identical
+            to ``"batch"`` (docs/ENGINE.md).  Either way it refuses
+            ``rng_streams`` and protocols without a kernel lowering.
         dtype:
-            Accumulation precision of the native backend's buffers
-            (``"float64"`` default, ``"float32"`` opt-in); the batch
-            backend always computes in float64.
+            Accumulation precision of the native kernel's buffers
+            (``"float64"`` default, ``"float32"`` opt-in, which needs
+            numba); the batch round always computes in float64.
         trace:
             Optional :class:`repro.telemetry.RoundTracer`.  When given, the
             engine emits one JSONL event per round (migrations, potential /
             social-cost means and deltas, live-replica count, wall time)
             bracketed by ``run_started``/``run_finished``.  The tracer
             consumes no randomness, so a traced run's final states are
-            bit-identical to the untraced run; the native backend reports
+            bit-identical to the untraced run; the native kernel reports
             coarsely at kernel-chunk boundaries instead of per round so the
             hot loop stays fused (docs/OBSERVABILITY.md).
         """
@@ -526,24 +528,26 @@ class EnsembleDynamics:
                     "rng_streams is a loop/batch bit-parity feature — use "
                     "backend='batch' for pathwise parity runs"
                 )
-            from .native import run_native_ensemble  # lazy: ensemble ↔ native
+            from . import native  # lazy: ensemble ↔ native
 
-            return run_native_ensemble(
-                self.game,
-                self.protocol,
-                initial_states,
-                replicas=replicas,
-                max_rounds=max_rounds,
-                stop_condition=stop_condition,
-                stop_when_quiescent=stop_when_quiescent,
-                collector=collector,
-                observer=observer,
-                strict=strict,
-                rng=self.rng,
-                dtype=dtype,
-                trace=trace,
-            )
-        if dtype != "float64":
+            if native.jit_available():
+                return native.run_native_ensemble(
+                    self.game,
+                    self.protocol,
+                    initial_states,
+                    replicas=replicas,
+                    max_rounds=max_rounds,
+                    stop_condition=stop_condition,
+                    stop_when_quiescent=stop_when_quiescent,
+                    collector=collector,
+                    observer=observer,
+                    strict=strict,
+                    rng=self.rng,
+                    dtype=dtype,
+                    trace=trace,
+                )
+            native.check_batch_round(self.game, self.protocol, dtype)
+        elif dtype != "float64":
             raise EngineError(
                 "dtype='float32' accumulation is a native-backend feature; "
                 "pass backend='native' (the batch backend is float64-only)"
@@ -572,7 +576,7 @@ class EnsembleDynamics:
         if collector is not None:
             collector.record(0, counts)
         if trace is not None:
-            trace.run_started(self.game, engine="batch",
+            trace.run_started(self.game, engine=backend,
                               replicas=num_replicas, max_rounds=max_rounds)
         watched = observer is not None or trace is not None or collector is not None
 

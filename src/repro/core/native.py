@@ -14,10 +14,8 @@ and no ``(R, S, S)`` tensor ever exists:
 * protocols are lowered to :class:`~repro.core.protocols.KernelComponents`
   — all of the paper's protocols (imitation in every variant, exploration,
   and their mixtures) share one component form;
-* the hot loop runs as a numba ``@njit`` kernel when numba is importable
-  and as a vectorised numpy implementation otherwise (same dynamics, same
-  results up to the random stream — both are selected automatically, or
-  explicitly via ``use_numba=``);
+* the hot loop (:func:`_chunk_loops`) is plain Python compiled by numba's
+  ``@njit``; :func:`run_native_ensemble` drives it and needs numba;
 * retired replicas are compacted out of the working arrays in place each
   round (stable order, original indices preserved through an ``orig``
   index map), so a finished replica costs nothing;
@@ -25,12 +23,18 @@ and no ``(R, S, S)`` tensor ever exists:
   precision — halving the kernel's memory traffic for large games — while
   counts stay exact ``int64``.
 
-Reproducibility contract (docs/ENGINE.md): the native backend is exactly
+Without numba there is no kernel to run: ``EnsembleDynamics.run(backend=
+"native")`` then runs the batch round on the engine's single generator
+(``native_mode`` ``"batch-round"`` in :func:`repro.engines.
+engine_runtime_info`), and ``dtype="float32"`` raises
+:class:`~repro.errors.NativeBackendError`.
+
+Reproducibility contract (docs/ENGINE.md): the kernel is exactly
 reproducible from its seed, but it draws each origin's migrations through a
 sequential conditional-binomial decomposition of the multinomial rather
 than numpy's stacked ``multinomial``.  The two samplers have identical
-distributions yet different bit streams, so native agrees with loop/batch
-in distribution and on every *deterministic* quantity (switch
+distributions yet different bit streams, so the kernel agrees with
+loop/batch in distribution and on every *deterministic* quantity (switch
 probabilities, stop decisions, latencies — ``allclose``), not
 sample-path-wise.  Fused stop conditions reproduce the batched stop
 semantics exactly: the stop test runs on the pre-round state, then
@@ -40,7 +44,7 @@ quiescence, then the migration draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from ..rng import RngLike, ensure_rng
 from .dynamics import StopReason
 from .protocols import KernelComponents, Protocol
 
-try:  # numba is optional: without it the vectorised numpy fallback runs
+try:  # numba is optional: without it ``native`` runs the batch round
     import numba as _numba
     from numba import njit as _njit
 
@@ -67,6 +71,8 @@ __all__ = [
     "lower_game",
     "lower_protocol",
     "lower_stop_condition",
+    "jit_available",
+    "check_batch_round",
     "run_native_ensemble",
 ]
 
@@ -74,7 +80,7 @@ __all__ = [
 #: observer, generic stop condition) forces a shorter synchronisation.
 _DEFAULT_CHUNK = 512
 
-#: Stop-kind codes shared by both kernel implementations.
+#: Stop-kind codes of the fused stop conditions.
 _STOP_NONE = 0
 _STOP_APPROX_EQ = 1
 _STOP_IMITATION_STABLE = 2
@@ -119,8 +125,6 @@ class KernelGame:
     poly_coeffs: np.ndarray
     lat_table: np.ndarray
     table_row: np.ndarray
-    # Dense incidence in the working dtype (numpy-fallback matmuls).
-    incidence: np.ndarray
 
 
 def _resolve_dtype(dtype) -> np.dtype:
@@ -152,7 +156,6 @@ def lower_game(game: CongestionGame, dtype="float64") -> KernelGame:
         poly_coeffs=poly_coeffs,
         lat_table=lat_table,
         table_row=table_row,
-        incidence=game.incidence.astype(resolved),
     )
 
 
@@ -196,7 +199,7 @@ def lower_stop_condition(stop_condition, game: CongestionGame
 
 
 # ----------------------------------------------------------------------
-# Fused chunk kernel — loop form (numba-compiled when available)
+# Fused chunk kernel (numba-compiled when available)
 # ----------------------------------------------------------------------
 
 def _chunk_loops(counts, orig, num_active, round_start, num_rounds,
@@ -409,161 +412,35 @@ def _seed_loops(seed):
 if NUMBA_AVAILABLE:  # compile lazily on first call, per dtype signature
     _chunk_loops_jit = _njit(cache=False)(_chunk_loops)
     _seed_loops_jit = _njit(cache=False)(_seed_loops)
-else:  # pragma: no cover - numba-free installs use the numpy chunk only
+else:  # pragma: no cover - numba-free installs run the batch round instead
     _chunk_loops_jit = None
     _seed_loops_jit = None
 
 
-# ----------------------------------------------------------------------
-# Fused chunk kernel — vectorised numpy form (the fallback)
-# ----------------------------------------------------------------------
+def jit_available() -> bool:
+    """Whether the compiled kernel is there to run, read at call time.
 
-def _eval_latencies_numpy(loads_f, loads_i, kg: KernelGame, poly_cols,
-                          table_cols, shift: float):
-    """Latency matrix at ``loads + shift`` (shift 0 or 1), shape (A, m)."""
-    out = np.empty(loads_f.shape, dtype=kg.dtype)
-    if poly_cols.size:
-        x = loads_f[:, poly_cols] + kg.dtype.type(shift)
-        acc = np.broadcast_to(kg.poly_coeffs[poly_cols, 0],
-                              x.shape).astype(kg.dtype)
-        for k in range(1, kg.poly_coeffs.shape[1]):
-            acc = acc * x + kg.poly_coeffs[poly_cols, k]
-        out[:, poly_cols] = acc
-    if table_cols.size:
-        rows = kg.table_row[table_cols]
-        out[:, table_cols] = kg.lat_table[rows[np.newaxis, :],
-                                          loads_i[:, table_cols] + int(shift)]
-    return out
+    ``EnsembleDynamics.run(backend="native")`` dispatches on this, so a
+    test can substitute the plain-Python kernel for the compiled one
+    without changing what :data:`NUMBA_AVAILABLE` reports."""
+    return _chunk_loops_jit is not None
 
 
-def _chunk_numpy(counts, orig, num_active, round_start, num_rounds,
-                 kg: KernelGame, kp: KernelComponents,
-                 stop_kind, stop_a, stop_b, stop_c, stop_quiescent,
-                 gen: np.random.Generator,
-                 rounds_out, moves_out, reason_out, final_counts, last_moves):
-    """Vectorised sibling of :func:`_chunk_loops`: same contract, same
-    dynamics, one Python iteration per round instead of per element."""
-    S = kg.num_strategies
-    n = float(kg.num_players)
-    dtype = kg.dtype
-    poly_cols = np.nonzero(kg.lat_kind == 0)[0]
-    table_cols = np.nonzero(kg.lat_kind == 1)[0]
-    inc = kg.incidence  # (S, m) in the working dtype
-    inc_t = inc.T
-    A = num_active
-    entered = 0
-    for round_index in range(round_start, round_start + num_rounds):
-        if A == 0:
-            break
-        entered += 1
-        ca = counts[:A]
-        loads_f = ca.astype(dtype) @ inc  # exact: integer-valued, < 2**24
-        loads_i = (np.rint(loads_f).astype(np.int64) if table_cols.size
-                   else loads_f)  # int loads only needed for table lookups
-        lat_now = _eval_latencies_numpy(loads_f, loads_i, kg, poly_cols,
-                                        table_cols, 0.0)
-        lat_plus = _eval_latencies_numpy(loads_f, loads_i, kg, poly_cols,
-                                         table_cols, 1.0)
-        strat_lat = lat_now @ inc_t  # (A, S)
-        joined = lat_plus @ inc_t
-        marginal = lat_plus - lat_now
+def check_batch_round(game: CongestionGame, protocol: Protocol,
+                      dtype) -> None:
+    """Refuse what ``native`` cannot run when it runs the batch round.
 
-        occupied = ca > 0
-        rows_a, rows_p = np.nonzero(occupied)
-        overlap = (inc[rows_p] * marginal[rows_a]) @ inc_t  # (O, S)
-        post = joined[rows_a] - overlap
-        origin_lat = strat_lat[rows_a, rows_p]
-        gains = origin_lat[:, np.newaxis] - post  # (O, S)
-
-        # ---- fused stop condition (pre-round state) -----------------
-        if stop_kind == _STOP_APPROX_EQ:
-            caf = ca.astype(dtype)
-            avg = (caf * strat_lat).sum(axis=1) / n
-            avg_plus = (caf * joined).sum(axis=1) / n
-            deviating = ((strat_lat > (1.0 + stop_b) * avg_plus[:, np.newaxis]
-                          + stop_c)
-                         | (strat_lat < (1.0 - stop_b) * avg[:, np.newaxis]
-                            - stop_c))
-            unsat = np.where(deviating, ca, 0).sum(axis=1) / n
-            stopped = unsat <= stop_a
-        elif stop_kind in (_STOP_IMITATION_STABLE, _STOP_NASH):
-            violating = gains > stop_c
-            dest = np.arange(S)[np.newaxis, :]
-            violating &= dest != rows_p[:, np.newaxis]
-            if stop_kind == _STOP_IMITATION_STABLE:
-                violating &= occupied[rows_a]
-            stopped = np.ones(A, dtype=bool)
-            stopped[rows_a[violating.any(axis=1)]] = False
-        else:
-            stopped = np.zeros(A, dtype=bool)
-
-        # ---- probabilities for rows of still-running replicas -------
-        row_sel = np.nonzero(~stopped[rows_a])[0]
-        ra = rows_a[row_sel]
-        rp = rows_p[row_sel]
-        g = gains[row_sel]
-        ol = origin_lat[row_sel, np.newaxis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(ol > 0, g / ol, dtype.type(0.0))
-        prob = np.zeros_like(g)
-        for c in range(kp.num_components):
-            mu = np.clip(kp.factors[c] * rel, 0.0, 1.0)
-            mu[g <= kp.thresholds[c]] = 0.0
-            if kp.sampling_kinds[c] == 0:
-                virt = kp.sampling_virtual[c]
-                samp = (ca[ra].astype(dtype) + dtype.type(virt)) / \
-                    dtype.type(n + virt * S)
-                prob += kp.weights[c] * mu * samp
-            else:
-                prob += (kp.weights[c] / S) * mu
-        prob[np.arange(row_sel.size), rp] = 0.0
-        row_sum = prob.sum(axis=1)
-        has_move = row_sum > 0
-
-        quiet = ~stopped
-        quiet[ra[has_move]] = False  # running replica with a live row
-
-        # ---- stacked migration draws --------------------------------
-        delta = np.zeros((A, S), dtype=np.int64)
-        moved = np.zeros(A, dtype=np.int64)
-        mover_rows = np.nonzero(has_move)[0]
-        if mover_rows.size:
-            mra = ra[mover_rows]
-            mrp = rp[mover_rows]
-            # Draw probabilities in float64 regardless of the working dtype
-            # (multinomial p-vectors must sum to 1 to float64 tolerance).
-            pvals = np.empty((mover_rows.size, S + 1), dtype=np.float64)
-            pvals[:, :S] = prob[mover_rows]
-            pvals[:, S] = np.maximum(0.0, 1.0 - row_sum[mover_rows])
-            np.clip(pvals, 0.0, None, out=pvals)
-            pvals /= pvals.sum(axis=1, keepdims=True)
-            draws = gen.multinomial(ca[mra, mrp], pvals)
-            draws[np.arange(mover_rows.size), mrp] = 0  # P -> P stays
-            departures = draws[:, :S].sum(axis=1)
-            np.add.at(delta, mra, draws[:, :S])
-            np.subtract.at(delta, (mra, mrp), departures)
-            np.add.at(moved, mra, departures)
-
-        # ---- apply, bookkeeping, retire + compact -------------------
-        retire = stopped | (quiet if stop_quiescent else False)
-        executed = ~retire
-        ca += delta  # retired rows have all-zero delta rows
-        oi = orig[:A]
-        executors = oi[executed]
-        rounds_out[executors] = round_index + 1
-        moves_out[executors] += moved[executed]
-        last_moves[executors] = moved[executed]
-        if np.any(retire):
-            retired = oi[retire]
-            final_counts[retired] = ca[retire]
-            reason_out[oi[stopped]] = _REASON_STOP
-            if stop_quiescent:
-                reason_out[oi[quiet]] = _REASON_QUIESCENT
-            keep = np.nonzero(executed)[0]
-            counts[:keep.size] = ca[keep]
-            orig[:keep.size] = oi[keep]
-            A = keep.size
-    return A, entered
+    The protocol must still have a kernel lowering, so ``native`` accepts
+    the same protocols with and without numba; float32 arithmetic exists
+    only in the compiled kernel, so it raises :class:`NativeBackendError`
+    naming numba."""
+    lower_protocol(protocol, game)
+    if _resolve_dtype(dtype) != np.float64:
+        raise NativeBackendError(
+            "dtype='float32' runs only in the numba-compiled native kernel, "
+            "and numba is not installed; without numba the native engine "
+            "runs the float64 batch round (docs/ENGINE.md)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +461,6 @@ def run_native_ensemble(
     strict: bool = False,
     rng: RngLike = None,
     dtype="float64",
-    use_numba: Optional[bool] = None,
     trace=None,
 ):
     """Run the fused native engine; returns an
@@ -594,9 +470,10 @@ def run_native_ensemble(
 
     Parameters mirror :meth:`EnsembleDynamics.run`; additionally ``dtype``
     selects the accumulation precision of the latency/probability buffers
-    (``"float32"`` halves memory traffic at ~1e-5 relative accuracy) and
-    ``use_numba`` forces the compiled (True) or vectorised-numpy (False)
-    chunk implementation instead of auto-detection.
+    (``"float32"`` halves memory traffic at ~1e-5 relative accuracy).  The
+    chunks run in the numba-compiled :func:`_chunk_loops`; without numba
+    this raises :class:`NativeBackendError` (``EnsembleDynamics.run`` runs
+    the batch round instead).
 
     ``trace`` (optional :class:`repro.telemetry.RoundTracer`) reports
     **coarsely, at kernel-chunk boundaries only** — per-round events would
@@ -611,12 +488,11 @@ def run_native_ensemble(
 
     kg = lower_game(game, dtype)
     kp = lower_protocol(protocol, game)
-    if use_numba is None:
-        use_numba = NUMBA_AVAILABLE
-    if use_numba and not NUMBA_AVAILABLE:
+    if not jit_available():
         raise NativeBackendError(
-            "use_numba=True but numba is not installed; install numba or "
-            "pass use_numba=None/False for the numpy fallback"
+            "the native kernel needs numba, which is not installed; "
+            "EnsembleDynamics.run(backend='native') runs the batch round "
+            "without it"
         )
     if max_rounds <= 0:
         raise ValueError("max_rounds must be positive")
@@ -659,39 +535,32 @@ def run_native_ensemble(
     last_moves = np.zeros(num_replicas, dtype=np.int64)
     final_counts = counts.copy()  # retired rows frozen here at retirement
 
-    if use_numba:
-        # The loop kernel draws from numba's internal RNG; seed it from the
-        # driver's generator so the whole run derives from one seed.
-        _seed_loops_jit(int(gen.integers(0, 2**32)))
-        scratch = (
-            np.zeros(kg.num_resources, dtype=np.int64),   # loads
-            np.empty(kg.num_resources, dtype=kg.dtype),   # lat_now
-            np.empty(kg.num_resources, dtype=kg.dtype),   # lat_plus
-            np.empty(S, dtype=kg.dtype),                  # strat_lat
-            np.empty(S, dtype=kg.dtype),                  # joined
-            np.empty(S, dtype=np.float64),                # ov
-            np.empty(S, dtype=np.float64),                # prob
-            np.zeros(S, dtype=np.int64),                  # delta
-        )
+    # The kernel draws from numba's internal RNG; seed it from the
+    # driver's generator so the whole run derives from one seed.
+    _seed_loops_jit(int(gen.integers(0, 2**32)))
+    scratch = (
+        np.zeros(kg.num_resources, dtype=np.int64),   # loads
+        np.empty(kg.num_resources, dtype=kg.dtype),   # lat_now
+        np.empty(kg.num_resources, dtype=kg.dtype),   # lat_plus
+        np.empty(S, dtype=kg.dtype),                  # strat_lat
+        np.empty(S, dtype=kg.dtype),                  # joined
+        np.empty(S, dtype=np.float64),                # ov
+        np.empty(S, dtype=np.float64),                # prob
+        np.zeros(S, dtype=np.int64),                  # delta
+    )
 
     def run_chunk(active, start, span):
-        if use_numba:
-            return _chunk_loops_jit(
-                counts, orig, active, start, span,
-                float(kg.num_players), stop_when_quiescent,
-                kg.strat_indptr, kg.strat_indices,
-                kg.res_indptr, kg.res_indices,
-                kg.lat_kind, kg.poly_coeffs, kg.lat_table, kg.table_row,
-                kp.weights, kp.factors, kp.thresholds,
-                kp.sampling_kinds, kp.sampling_virtual,
-                stop_kind, stop_a, stop_b, stop_c,
-                rounds_out, moves_out, reason_out, final_counts, last_moves,
-                *scratch,
-            )
-        return _chunk_numpy(
-            counts, orig, active, start, span, kg, kp,
-            stop_kind, stop_a, stop_b, stop_c, stop_when_quiescent, gen,
+        return _chunk_loops_jit(
+            counts, orig, active, start, span,
+            float(kg.num_players), stop_when_quiescent,
+            kg.strat_indptr, kg.strat_indices,
+            kg.res_indptr, kg.res_indices,
+            kg.lat_kind, kg.poly_coeffs, kg.lat_table, kg.table_row,
+            kp.weights, kp.factors, kp.thresholds,
+            kp.sampling_kinds, kp.sampling_virtual,
+            stop_kind, stop_a, stop_b, stop_c,
             rounds_out, moves_out, reason_out, final_counts, last_moves,
+            *scratch,
         )
 
     def snapshot() -> np.ndarray:

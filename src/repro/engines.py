@@ -7,9 +7,10 @@ Three engines execute the concurrent dynamics:
 * ``"batch"`` — :class:`~repro.core.ensemble.EnsembleDynamics`, all replicas
   advanced together through broadcasted numpy (bit-identical to ``loop``
   under per-replica rng streams);
-* ``"native"`` — :mod:`repro.core.native`, a fused per-round kernel
-  (numba-JIT when numba is installed, vectorised numpy otherwise) that never
-  materialises the ``(R, S, S)`` switch tensor.
+* ``"native"`` — with numba installed, :mod:`repro.core.native`, a fused
+  numba-JIT per-round kernel that never materialises the ``(R, S, S)``
+  switch tensor; without numba, the ``batch`` round on the ensemble's
+  single generator.
 
 Every surface accepting an ``engine=`` argument validates it here, so an
 unknown name fails immediately with a :class:`~repro.errors.EngineError`
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from .errors import EngineError
 
-__all__ = ["ENGINES", "DEFAULT_ENGINE", "PARITY_TIERS", "validate_engine",
-           "engine_runtime_info"]
+__all__ = ["ENGINES", "DEFAULT_ENGINE", "PARITY_TIERS", "NATIVE_PARITY_TIERS",
+           "validate_engine", "engine_runtime_info"]
 
 #: All round engines, in documentation order.
 ENGINES = ("loop", "batch", "native")
@@ -31,17 +32,22 @@ ENGINES = ("loop", "batch", "native")
 #: The engine used when a caller does not choose one explicitly.
 DEFAULT_ENGINE = "batch"
 
-#: Reproducibility tier of each engine relative to the reference pair.
-#: ``loop`` and ``batch`` are bit-identical to each other (same stacked
-#: multinomial draws under per-replica rng streams); ``native`` is
-#: deterministic given its seed but draws migrations through a different
-#: (binomial-chain) decomposition, so it agrees with ``batch`` in
-#: distribution and on every deterministic quantity (allclose), not
-#: sample-path-wise.  See docs/ENGINE.md.
+#: Reproducibility tier of the reference pair: ``loop`` and ``batch`` are
+#: bit-identical to each other (same stacked multinomial draws under
+#: per-replica rng streams).  See docs/ENGINE.md.
 PARITY_TIERS = {
     "loop": "bit-identical",
     "batch": "bit-identical",
-    "native": "allclose",
+}
+
+#: ``native``'s tier by mode.  The numba kernel is deterministic given its
+#: seed but draws migrations through a different (binomial-chain)
+#: decomposition, so it agrees with ``batch`` in distribution and on every
+#: deterministic quantity (allclose), not sample-path-wise.  Without numba
+#: ``native`` runs the batch round itself on one generator.
+NATIVE_PARITY_TIERS = {
+    "numba-jit": "allclose",
+    "batch-round": "bit-identical",
 }
 
 
@@ -63,11 +69,12 @@ def engine_runtime_info() -> dict:
     service health endpoint."""
     from .core.native import NUMBA_AVAILABLE, numba_version
 
+    mode = "numba-jit" if NUMBA_AVAILABLE else "batch-round"
     return {
         "engines": list(ENGINES),
         "default_engine": DEFAULT_ENGINE,
-        "parity_tiers": dict(PARITY_TIERS),
+        "parity_tiers": {**PARITY_TIERS, "native": NATIVE_PARITY_TIERS[mode]},
         "numba_available": NUMBA_AVAILABLE,
         "numba_version": numba_version(),
-        "native_mode": "numba-jit" if NUMBA_AVAILABLE else "numpy-fallback",
+        "native_mode": mode,
     }

@@ -22,7 +22,6 @@ from .latency import (
     MonomialLatency,
     PolynomialLatency,
 )
-from .network import NetworkCongestionGame, layered_random_network_game
 from .singleton import SingletonCongestionGame
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "identical_links_game",
     "dominant_strategy_game",
     "random_symmetric_game",
-    "random_network_game",
 ]
 
 
@@ -219,23 +217,3 @@ def random_symmetric_game(
         strategies.append(candidate)
     return CongestionGame(num_players, latencies, strategies, name=name)
 
-
-def random_network_game(
-    num_players: int,
-    *,
-    layers: int = 2,
-    width: int = 3,
-    degree: int = 1,
-    rng: RngLike = None,
-    name: str = "random-network",
-) -> NetworkCongestionGame:
-    """Thin wrapper around :func:`layered_random_network_game` with the
-    defaults used by the experiment suite."""
-    return layered_random_network_game(
-        num_players,
-        layers=layers,
-        width=width,
-        degree=degree,
-        rng=rng,
-        name=name,
-    )

@@ -35,15 +35,17 @@ rows — the property ``tests/test_engine_parity.py`` asserts through
 contract and support only ``"batch"`` and ``"native"`` (their loop paths
 live in :mod:`repro.analysis.convergence`).
 
-``native`` routes the multi-round measures through the fused round kernel
-(:mod:`repro.core.native`).  The native engine consumes a *single* random
-stream per ensemble (the first per-replica stream of the run seed) and
-draws its migrations through a different decomposition, so native rows
-agree with batch rows in distribution — the "allclose" parity tier of
-:data:`repro.engines.PARITY_TIERS` — but not sample-path-wise.  Engine
-names are validated by :func:`repro.engines.validate_engine`, so typos
-fail immediately with an :class:`~repro.errors.EngineError` naming the
-valid backends.
+``native`` runs the multi-round measures as one ensemble on a *single*
+random stream (the first per-replica stream of the run seed).  With numba
+that ensemble runs in the fused round kernel (:mod:`repro.core.native`),
+which draws its migrations through a different decomposition, so native
+rows agree with batch rows in distribution — the "allclose" tier of
+:data:`repro.engines.NATIVE_PARITY_TIERS` — but not sample-path-wise.
+Without numba it runs the batch round on that one stream, so the rows are
+a fixed function of the seed on every numba-free host.  Engine names are
+validated by :func:`repro.engines.validate_engine`, so typos fail
+immediately with an :class:`~repro.errors.EngineError` naming the valid
+backends.
 """
 
 from __future__ import annotations
@@ -401,10 +403,10 @@ def _run_on_streams(game: CongestionGame, protocol: Protocol,
 
     ``batch`` gives each replica its own stream (``rng_streams``), so every
     trajectory is bit-identical to a :class:`ConcurrentDynamics` run on the
-    same generator.  ``native`` has no per-replica stream mode: the fused
-    kernel consumes the *first* stream as its single generator, so its
-    trajectories agree with the reference pair in distribution (allclose
-    tier), not bit-for-bit.
+    same generator.  ``native`` has no per-replica stream mode: it consumes
+    the *first* stream as its single generator (in the fused kernel with
+    numba, in the batch round without), so its trajectories agree with the
+    reference pair in distribution, not bit-for-bit.
     """
     if engine == "native":
         return EnsembleDynamics(game, protocol, rng=streams[0]).run(
@@ -439,8 +441,8 @@ def _ensemble_trajectories(
     (``batch_stop_from_scalar``), which evaluates the game once per replica
     per round and easily dominates the whole batch run.
 
-    ``engine="native"`` runs the ensemble through the fused round kernel
-    (see :func:`_run_on_streams`).
+    ``engine="native"`` runs the ensemble on a single stream (see
+    :func:`_run_on_streams`).
     """
     if engine in ("batch", "native"):
         if batch_stop is None and scalar_stop is not None:
@@ -498,7 +500,7 @@ def _potential_trajectories(game: CongestionGame, protocol: Protocol,
     """Per-replica potential trajectories from a shared start state.
 
     The native path records through the same :class:`EnsembleCollector`,
-    driven by the fused kernel on a single stream (allclose tier).
+    on a single stream (see :func:`_run_on_streams`).
     """
     if engine in ("batch", "native"):
         collector = EnsembleCollector(game, metrics=("potential",), every=1)

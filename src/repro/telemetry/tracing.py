@@ -242,7 +242,7 @@ class RoundTracer:
     def round_completed(self, game, counts: np.ndarray,
                         active: Optional[np.ndarray], round_index: int,
                         migrations: int, *, kind: str = "round") -> None:
-        """Record one completed round (or, for the native engine, one
+        """Record one completed round (or, for the numba native kernel, one
         kernel chunk — ``kind="chunk"`` with ``round_index`` = rounds so
         far and ``migrations`` = moves accumulated over the chunk)."""
         if kind == "round" and round_index % self.every != 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.exploration import ExplorationProtocol
 from repro.core.imitation import ImitationProtocol
 from repro.games.latency import ConstantLatency, LinearLatency, MonomialLatency
@@ -80,3 +81,42 @@ def aggressive_imitation() -> ImitationProtocol:
 def exploration_protocol() -> ExplorationProtocol:
     """Default exploration protocol."""
     return ExplorationProtocol()
+
+
+def pytest_generate_tests(metafunc):
+    """Where numba is installed, run every ``native_kernel`` test under both
+    the interpreted and the compiled kernel."""
+    if "native_kernel" in metafunc.fixturenames and native.NUMBA_AVAILABLE:
+        metafunc.parametrize("native_kernel", ["interpreted", "jit"],
+                             indirect=True)
+
+
+@pytest.fixture
+def native_kernel(request, monkeypatch):
+    """Make ``backend="native"`` run the fused kernel on every host.
+
+    ``"interpreted"`` (the default, and the only mode without numba) puts
+    the plain-Python ``_chunk_loops``/``_seed_loops`` where the compiled
+    kernel goes, so the kernel's body runs uncompiled; ``"jit"`` keeps the
+    compiled kernel.  Interpreted, ``_seed_loops`` seeds the global
+    ``np.random`` stream, which is restored afterwards.  What
+    ``engine_runtime_info`` reports is left alone.
+    """
+    mode = getattr(request, "param", "interpreted")
+    if mode == "jit":
+        yield mode
+        return
+    state = np.random.get_state()
+    monkeypatch.setattr(native, "_chunk_loops_jit", native._chunk_loops)
+    monkeypatch.setattr(native, "_seed_loops_jit", native._seed_loops)
+    try:
+        yield mode
+    finally:
+        np.random.set_state(state)
+
+
+@pytest.fixture
+def batch_round(monkeypatch):
+    """Make ``backend="native"`` run as on a numba-free host, on every host."""
+    monkeypatch.setattr(native, "_chunk_loops_jit", None)
+    monkeypatch.setattr(native, "_seed_loops_jit", None)

@@ -1,16 +1,19 @@
 """Tests of the native fused round kernel (``engine="native"``).
 
-The parity regime (docs/ENGINE.md): the native backend must agree with the
+The parity regime (docs/ENGINE.md): the native kernel must agree with the
 batch engine **exactly** on every deterministic quantity — lowered latency
 tables, switch probabilities, stop decisions — while its migration draws
 only agree in distribution (the conditional-binomial chain vs numpy's
 stacked multinomial).  The tests here therefore assert bit-equality on the
-lowering and on deterministic runs (stop at round 0, quiescence), and
-determinism/conservation/compaction invariants on stochastic runs.
+lowering and on deterministic runs (stop at round 0, quiescence),
+determinism/conservation/compaction invariants on stochastic runs, and the
+kernel's one-round draw against its exact distribution.
 
-Runs in both CI modes: with numba installed the chunk kernel is the JIT
-loop form, without it the vectorised numpy fallback — the engine-level
-contracts are identical.
+The engine tests take the ``native_kernel`` fixture (``conftest.py``), so
+the kernel's body runs on every host: interpreted everywhere, and also
+compiled where numba is installed.  Without numba ``backend="native"``
+runs the batch round; the ``batch_round`` fixture reproduces that mode on
+every host.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from repro.core.virtual_agents import VirtualAgentImitationProtocol
 from repro.engines import ENGINES, engine_runtime_info, validate_engine
 from repro.errors import ConvergenceError, EngineError, NativeBackendError
 from repro.games.generators import random_linear_singleton
-from repro.games.network import braess_network_game
-from repro.games.singleton import make_linear_singleton
+from repro.games.latency import ConstantLatency, LinearLatency
+from repro.games.singleton import SingletonCongestionGame, make_linear_singleton
+from repro.games.symmetric import make_symmetric_game
 from repro.sweeps import SweepSpec
 
 
@@ -83,7 +87,6 @@ def test_lowered_float32_tables_track_float64(linear_singleton):
     assert kg32.dtype == np.dtype(np.float32)
     assert kg32.poly_coeffs.dtype == np.float32
     assert np.allclose(kg32.poly_coeffs, kg64.poly_coeffs, rtol=1e-6)
-    assert np.allclose(kg32.incidence, kg64.incidence)
 
 
 def test_lower_game_rejects_unsupported_dtype(linear_singleton):
@@ -131,7 +134,8 @@ def test_lowered_protocol_components_reproduce_switch_probabilities(protocol):
     assert np.allclose(reconstructed, expected, rtol=1e-12, atol=1e-15)
 
 
-def test_bespoke_protocol_without_lowering_is_refused(linear_singleton):
+def test_bespoke_protocol_without_lowering_is_refused(linear_singleton,
+                                                      batch_round):
     class BespokeProtocol(Protocol):
         name = "bespoke"
 
@@ -145,6 +149,11 @@ def test_bespoke_protocol_without_lowering_is_refused(linear_singleton):
     with pytest.raises(NativeBackendError, match="engine='batch'"):
         run_native_ensemble(linear_singleton, BespokeProtocol(),
                             replicas=2, max_rounds=5, rng=0)
+    # the batch round refuses the same protocols, so native accepts the
+    # same inputs with and without numba
+    with pytest.raises(NativeBackendError, match="BespokeProtocol"):
+        EnsembleDynamics(linear_singleton, BespokeProtocol(), rng=0).run(
+            replicas=2, max_rounds=5, backend="native")
 
 
 def test_stop_condition_lowering(linear_singleton):
@@ -170,7 +179,7 @@ def _run_native(game, protocol, seed=7, **kwargs):
     return dynamics.run(backend="native", **kwargs)
 
 
-def test_native_run_is_deterministic_and_conserves_players():
+def test_native_run_is_deterministic_and_conserves_players(native_kernel):
     game = random_linear_singleton(500, 6, rng=2)
     protocol = ImitationProtocol(use_nu_threshold=False)
     stop = batch_stop_at_approx_equilibrium(0.1, 0.1)
@@ -191,7 +200,8 @@ def test_native_run_is_deterministic_and_conserves_players():
                               other.final_states.to_array())
 
 
-def test_native_and_batch_agree_on_round_zero_stop(linear_singleton):
+def test_native_and_batch_agree_on_round_zero_stop(linear_singleton,
+                                                   native_kernel):
     """A stop satisfied by the initial state retires every replica before
     any draw — a fully deterministic path where native must be
     bit-identical to batch."""
@@ -208,7 +218,7 @@ def test_native_and_batch_agree_on_round_zero_stop(linear_singleton):
         assert result.total_migrations.tolist() == [0, 0, 0, 0]
 
 
-def test_native_and_batch_agree_on_quiescence():
+def test_native_and_batch_agree_on_quiescence(native_kernel):
     """With the nu threshold on a singleton game, a near-balanced state has
     no eligible move: both engines must retire it as QUIESCENT with an
     unchanged state (no randomness is consumed on the deciding round)."""
@@ -223,7 +233,7 @@ def test_native_and_batch_agree_on_quiescence():
         assert np.array_equal(result.final_states.to_array(), initial)
 
 
-def test_generic_python_stop_condition_is_honoured():
+def test_generic_python_stop_condition_is_honoured(native_kernel):
     game = random_linear_singleton(200, 4, rng=5)
     protocol = ImitationProtocol(use_nu_threshold=False)
 
@@ -237,7 +247,7 @@ def test_generic_python_stop_condition_is_honoured():
                for reason in result.stop_reasons)
 
 
-def test_fused_and_generic_forms_of_the_same_stop_agree():
+def test_fused_and_generic_forms_of_the_same_stop_agree(native_kernel):
     """Wrapping a tagged stop in a plain lambda strips the fused tag; the
     per-round python path must still stop each replica at the same round
     (same dynamics, same stop semantics — only the synchronisation
@@ -249,18 +259,16 @@ def test_fused_and_generic_forms_of_the_same_stop_agree():
     assert lower_stop_condition(untagged, game) is None
     initial = game.uniform_random_batch_state(6, rng=2).to_array()
     fused = run_native_ensemble(game, protocol, initial, max_rounds=2000,
-                                stop_condition=tagged, rng=13,
-                                use_numba=False)
+                                stop_condition=tagged, rng=13)
     generic = run_native_ensemble(game, protocol, initial, max_rounds=2000,
-                                  stop_condition=untagged, rng=13,
-                                  use_numba=False)
+                                  stop_condition=untagged, rng=13)
     assert fused.rounds.tolist() == generic.rounds.tolist()
     assert fused.stop_reasons == generic.stop_reasons
     assert np.array_equal(fused.final_states.to_array(),
                           generic.final_states.to_array())
 
 
-def test_strict_raises_when_budget_exhausted():
+def test_strict_raises_when_budget_exhausted(native_kernel):
     game = random_linear_singleton(400, 5, rng=1)
     protocol = ImitationProtocol(use_nu_threshold=False)
     impossible = batch_stop_at_nash(tolerance=-1.0)
@@ -269,7 +277,7 @@ def test_strict_raises_when_budget_exhausted():
                     stop_condition=impossible, strict=True)
 
 
-def test_observer_sees_original_replica_indices():
+def test_observer_sees_original_replica_indices(native_kernel):
     game = random_linear_singleton(200, 4, rng=3)
     protocol = ImitationProtocol(use_nu_threshold=False)
     seen: list[np.ndarray] = []
@@ -309,7 +317,7 @@ def _heterogeneous_run(backend):
 
 
 @pytest.mark.parametrize("backend", ["batch", "native"])
-def test_compaction_keeps_original_replica_indexing(backend):
+def test_compaction_keeps_original_replica_indexing(backend, native_kernel):
     game, initial, result = _heterogeneous_run(backend)
     # replicas 0/2 retired before round 1; their slots keep their state
     assert result.rounds[0] == 0 and result.rounds[2] == 0
@@ -325,7 +333,8 @@ def test_compaction_keeps_original_replica_indexing(backend):
 
 
 @pytest.mark.parametrize("backend", ["batch", "native"])
-def test_traces_keep_original_replica_columns_after_compaction(backend):
+def test_traces_keep_original_replica_columns_after_compaction(backend,
+                                                               native_kernel):
     game, initial, result = _heterogeneous_run(backend)
     potential = result.metric("potential")
     assert potential.shape == (len(result.trace_rounds), 4)
@@ -342,7 +351,7 @@ def test_traces_keep_original_replica_columns_after_compaction(backend):
 
 
 @pytest.mark.parametrize("backend", ["batch", "native"])
-def test_replica_bridge_round_trips(backend):
+def test_replica_bridge_round_trips(backend, native_kernel):
     _, _, result = _heterogeneous_run(backend)
     for index in range(result.num_replicas):
         single = result.replica(index)
@@ -382,7 +391,7 @@ def test_replica_bridge_matches_loop_engine_bit_for_bit():
 # float32 accumulation mode.
 # ----------------------------------------------------------------------
 
-def test_float32_run_conserves_and_is_deterministic():
+def test_float32_run_conserves_and_is_deterministic(native_kernel):
     game = random_linear_singleton(500, 6, rng=14)
     protocol = ImitationProtocol(use_nu_threshold=False)
     stop = batch_stop_at_approx_equilibrium(0.1, 0.1)
@@ -397,7 +406,8 @@ def test_float32_run_conserves_and_is_deterministic():
     assert np.array_equal(first.rounds, second.rounds)
 
 
-def test_float32_deterministic_paths_match_float64(linear_singleton):
+def test_float32_deterministic_paths_match_float64(linear_singleton,
+                                                   native_kernel):
     """On a draw-free path (round-0 stop) the dtype cannot matter at all."""
     protocol = ImitationProtocol()
     initial = np.tile(linear_singleton.balanced_state().counts, (2, 1))
@@ -442,11 +452,11 @@ def test_ensemble_backend_validation(linear_singleton):
                                   np.random.default_rng(1)])
 
 
-@pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs a numba-free install")
-def test_use_numba_true_without_numba_is_an_actionable_error(linear_singleton):
-    with pytest.raises(NativeBackendError, match="numba is not installed"):
+def test_kernel_driver_without_numba_is_an_actionable_error(
+        linear_singleton, batch_round):
+    with pytest.raises(NativeBackendError, match="needs numba"):
         run_native_ensemble(linear_singleton, ImitationProtocol(),
-                            replicas=2, max_rounds=5, rng=0, use_numba=True)
+                            replicas=2, max_rounds=5, rng=0)
 
 
 def test_sweep_spec_engine_field_roundtrip_and_hash():
@@ -484,8 +494,191 @@ def test_engine_runtime_info_reports_backends_and_numba():
     info = engine_runtime_info()
     assert tuple(info["engines"]) == ENGINES == ("loop", "batch", "native")
     assert info["default_engine"] == "batch"
-    assert info["parity_tiers"]["native"] == "allclose"
+    expected_mode = "numba-jit" if NUMBA_AVAILABLE else "batch-round"
+    assert info["native_mode"] == expected_mode
+    expected_tier = "allclose" if NUMBA_AVAILABLE else "bit-identical"
+    assert info["parity_tiers"]["native"] == expected_tier
     assert info["parity_tiers"]["batch"] == "bit-identical"
     assert info["numba_available"] == NUMBA_AVAILABLE
-    expected_mode = "numba-jit" if NUMBA_AVAILABLE else "numpy-fallback"
-    assert info["native_mode"] == expected_mode
+
+
+def test_kernel_fixture_leaves_runtime_info_alone(native_kernel):
+    info = engine_runtime_info()
+    assert info["numba_available"] == NUMBA_AVAILABLE
+    assert info["native_mode"] == ("numba-jit" if NUMBA_AVAILABLE
+                                   else "batch-round")
+
+
+# ----------------------------------------------------------------------
+# Without numba, native runs the batch round.
+# ----------------------------------------------------------------------
+
+def test_batch_round_native_equals_batch(batch_round):
+    """Final states, rounds, stop reasons, migrations and collector traces
+    of ``backend="native"`` equal ``backend="batch"`` on one generator —
+    from random starts (the generator also draws the states) and from
+    given ones, with and without a stop condition."""
+    game = random_linear_singleton(300, 5, rng=4)
+    protocol = ImitationProtocol(use_nu_threshold=False)
+    stop = batch_stop_at_approx_equilibrium(0.05, 0.05)
+    initial = game.uniform_random_batch_state(6, rng=1).to_array()
+    cases = [dict(replicas=16, stop_condition=stop, max_rounds=500),
+             dict(initial_states=initial, max_rounds=40)]
+    for kwargs in cases:
+        results = {}
+        for backend in ("batch", "native"):
+            collector = EnsembleCollector(
+                game, metrics=("potential", "support_size"), every=3)
+            results[backend] = EnsembleDynamics(game, protocol, rng=17).run(
+                collector=collector, backend=backend, **kwargs)
+        batch, native = results["batch"], results["native"]
+        assert np.array_equal(native.final_states.to_array(),
+                              batch.final_states.to_array())
+        assert np.array_equal(native.rounds, batch.rounds)
+        assert native.stop_reasons == batch.stop_reasons
+        assert np.array_equal(native.total_migrations, batch.total_migrations)
+        assert native.trace_rounds == batch.trace_rounds
+        assert native.traces.keys() == batch.traces.keys()
+        for name in batch.traces:
+            assert np.array_equal(native.metric(name), batch.metric(name))
+
+
+def test_batch_round_refuses_float32_naming_numba(linear_singleton,
+                                                  batch_round):
+    dynamics = EnsembleDynamics(linear_singleton, ImitationProtocol(), rng=0)
+    with pytest.raises(NativeBackendError, match="numba"):
+        dynamics.run(replicas=2, max_rounds=5, backend="native",
+                     dtype="float32")
+    with pytest.raises(EngineError, match="float64.*float32"):
+        dynamics.run(replicas=2, max_rounds=5, backend="native",
+                     dtype="int32")
+
+
+def test_cli_float32_without_numba_names_numba(batch_round, capsys):
+    from repro.cli import main
+
+    assert main(["simulate", "--engine", "native", "--dtype", "float32",
+                 "--replicas", "2", "--rounds", "5"]) == 1
+    assert "numba" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The kernel's one-round draw against its exact distribution.
+# ----------------------------------------------------------------------
+
+def _compositions(total: int, parts: int):
+    """Every way of splitting ``total`` players into ``parts`` ordered bins."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _exact_one_round(game, protocol, start) -> dict[tuple, float]:
+    """Exact distribution of the state after one round from ``start``: the
+    convolution of one multinomial per occupied origin over its
+    destinations and staying, with the protocol's switch probabilities."""
+    from scipy.stats import multinomial
+
+    start = np.asarray(start, dtype=np.int64)
+    matrix = protocol.switch_probabilities_batch(game, start[np.newaxis])[0]
+    S = start.size
+    outcomes = {tuple(start): 1.0}
+    for p in np.nonzero(start)[0]:
+        pvals = np.append(matrix[p], 0.0)
+        pvals[p] = 0.0
+        pvals[S] = max(0.0, 1.0 - pvals[:S].sum())
+        law = multinomial(int(start[p]), pvals)
+        moves = []
+        for split in _compositions(int(start[p]), S + 1):
+            if any(split[q] for q in range(S) if pvals[q] == 0.0):
+                continue
+            delta = np.array(split[:S])
+            delta[p] -= sum(split[:S])
+            moves.append((delta, law.pmf(split)))
+        merged: dict[tuple, float] = {}
+        for state, weight in outcomes.items():
+            for delta, probability in moves:
+                key = tuple(np.asarray(state) + delta)
+                merged[key] = merged.get(key, 0.0) + weight * probability
+        outcomes = merged
+    return outcomes
+
+
+def _pooled_chi_square(observed: dict[tuple, int],
+                       exact: dict[tuple, float], samples: int):
+    """Chi-square test of observed one-round outcomes against ``exact``:
+    outcomes expected fewer than 5 times are pooled into one cell."""
+    from scipy.stats import chisquare
+
+    assert set(observed) <= set(exact), "an impossible outcome was drawn"
+    obs, exp = [], []
+    pooled_obs = pooled_exp = 0.0
+    for state, probability in exact.items():
+        expected = samples * probability
+        if expected < 5.0:
+            pooled_obs += observed.get(state, 0)
+            pooled_exp += expected
+        else:
+            obs.append(observed.get(state, 0))
+            exp.append(expected)
+    if pooled_exp > 0.0:
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    exp = np.array(exp) * (samples / np.sum(exp))  # absorb pmf rounding
+    return chisquare(obs, exp)
+
+
+#: Family-wise false-alarm rate of the draw tests, split over the cases.
+_DRAW_ALPHA = 0.01
+
+_DRAW_CASES = [
+    # (game, protocol, start, seed): at least two destinations per moving
+    # origin, so each draw runs the chain past its first binomial
+    (lambda: make_linear_singleton(12, [1.0, 1.0, 1.0]),
+     lambda: ImitationProtocol(lambda_=1.0, use_nu_threshold=False),
+     (6, 4, 2), 101),
+    (lambda: SingletonCongestionGame(
+        12, [ConstantLatency(50.0), LinearLatency(1.0, 0.0),
+             LinearLatency(1.0, 0.0)]),
+     lambda: ImitationProtocol(lambda_=1.0, use_nu_threshold=False),
+     (4, 4, 4), 102),
+    (lambda: make_symmetric_game(
+        11, {"shared": LinearLatency(1.0, 0.0), "slow": ConstantLatency(60.0),
+             "b": LinearLatency(1.0, 0.0), "c": LinearLatency(2.0, 0.0)},
+        {"via-slow": ["shared", "slow"], "via-b": ["shared", "b"],
+         "via-c": ["shared", "c"]}),
+     lambda: MixtureProtocol(
+         [ImitationProtocol(lambda_=1.0, use_nu_threshold=False),
+          ExplorationProtocol(lambda_=1.0)], [0.5, 0.5]),
+     (5, 3, 3), 103),
+    (lambda: SingletonCongestionGame(
+        10, [ConstantLatency(40.0), LinearLatency(1.0, 0.0),
+             LinearLatency(1.0, 0.0), LinearLatency(2.0, 0.0)]),
+     lambda: ExplorationProtocol(lambda_=1.0),
+     (6, 2, 1, 1), 104),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_DRAW_CASES)))
+def test_kernel_one_round_draw_matches_exact_distribution(case,
+                                                          native_kernel):
+    make_game, make_protocol, start, seed = _DRAW_CASES[case]
+    game, protocol = make_game(), make_protocol()
+    samples = 4000
+    result = EnsembleDynamics(game, protocol, rng=seed).run(
+        np.tile(start, (samples, 1)), max_rounds=1,
+        stop_when_quiescent=False, backend="native")
+    finals = result.final_states.to_array()
+    states, counts = np.unique(finals, axis=0, return_counts=True)
+    observed = {tuple(state): int(count)
+                for state, count in zip(states.tolist(), counts)}
+    exact = _exact_one_round(game, protocol, start)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-9)
+    test = _pooled_chi_square(observed, exact, samples)
+    assert test.pvalue > _DRAW_ALPHA / len(_DRAW_CASES), (
+        f"one-round draw departs from its exact law: chi2={test.statistic:.1f}, "
+        f"p={test.pvalue:.2e}")
+

@@ -368,9 +368,9 @@ class TestEndToEnd:
         assert health["status"] == "ok"
         assert set(health["dependencies"]) == {"scipy", "networkx", "numba"}
         assert health["engines"]["engines"] == ["loop", "batch", "native"]
-        assert health["engines"]["parity_tiers"]["native"] == "allclose"
-        assert health["engines"]["native_mode"] in ("numba-jit",
-                                                    "numpy-fallback")
+        tiers = {"numba-jit": "allclose", "batch-round": "bit-identical"}
+        mode = health["engines"]["native_mode"]
+        assert health["engines"]["parity_tiers"]["native"] == tiers[mode]
         assert {"queued", "running", "done"} <= set(health["jobs"])
         assert any(preset["name"] == "logn" for preset in health["presets"])
         assert any(item["id"] == "E2" for item in health["experiments"])

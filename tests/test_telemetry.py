@@ -308,7 +308,7 @@ class TestTracedRunsAreBitIdentical:
                               untraced.final_states.to_array())
         assert np.array_equal(traced.rounds, untraced.rounds)
 
-    def test_native_engine_chunk_tracing(self):
+    def test_native_engine_chunk_tracing(self, native_kernel):
         sink = ListTraceSink()
         untraced = run_native_ensemble(quick_game(), quick_protocol(),
                                        replicas=5, max_rounds=60, rng=7)
@@ -323,6 +323,23 @@ class TestTracedRunsAreBitIdentical:
         assert kinds[-1] == "run_finished"
         # native reports coarsely at chunk boundaries, never per round
         assert "chunk" in kinds and "round" not in kinds
+
+    def test_native_batch_round_traces_per_round(self, batch_round):
+        """Without numba, native runs the batch round and traces it per
+        round; the trace still names the engine the caller chose."""
+        sink = ListTraceSink()
+        untraced = EnsembleDynamics(quick_game(), quick_protocol(),
+                                    rng=7).run(replicas=5, max_rounds=60,
+                                               backend="native")
+        traced = EnsembleDynamics(quick_game(), quick_protocol(),
+                                  rng=7).run(replicas=5, max_rounds=60,
+                                             backend="native",
+                                             trace=RoundTracer(sink))
+        assert np.array_equal(traced.final_states.to_array(),
+                              untraced.final_states.to_array())
+        kinds = [event["event"] for event in sink.events]
+        assert sink.events[0]["engine"] == "native"
+        assert "round" in kinds and "chunk" not in kinds
 
 
 # ----------------------------------------------------------------------
